@@ -1,13 +1,13 @@
 // ThreadPool: a small chunked fork-join executor for the hot loops.
 //
 // The platform's per-epoch check loop and the pool maintenance passes are
-// data-parallel over disjoint slices of state (one pooled order, one graph
-// entry, one worker candidate). This pool runs such loops across a fixed set
-// of worker threads with dynamic chunk claiming: callers hand ParallelFor a
-// half-open index range and a body; threads grab contiguous chunks off a
-// shared atomic cursor until the range is drained. The caller thread
-// participates, so a 1-thread pool degenerates to a plain serial loop with
-// no synchronization.
+// data-parallel over disjoint slices of state (one pooled order, one
+// candidate pair, one worker candidate). This pool runs such loops across a
+// fixed set of worker threads with dynamic chunk claiming: callers hand
+// ParallelFor a half-open index range and a body; threads grab contiguous
+// chunks off a shared atomic cursor until the range is drained. The caller
+// thread participates, so a 1-thread pool degenerates to a plain serial loop
+// with no synchronization.
 //
 // Determinism contract: the pool schedules *where* work runs, never *what*
 // the result is. Callers that need thread-count-independent results must

@@ -49,13 +49,11 @@ struct PoolStats {
 
 /// Travel-time-oracle work counters of one run (filled by WatterPlatform
 /// from the scenario's oracle; zero elsewhere). Unlike PoolStats these are
-/// *diagnostic, not deterministic*: the three counter increments are
-/// deliberately racy (travel_time_oracle.h), so multi-threaded runs may
-/// drop a few counts, and the two geo backends intentionally issue
-/// different query totals. Determinism comparisons exclude them, like
-/// wall-clock fields. bucket_build_seconds is the exception: it accumulates
-/// once per memoized search-space build under the oracle mutex, so it is
-/// exact — but it is wall-clock, hence still excluded from determinism.
+/// *diagnostic*: the counts are exact under any thread count (per-thread
+/// slots, travel_time_oracle.h), but the two geo backends intentionally
+/// issue different query totals, so determinism comparisons across
+/// backends exclude them, like wall-clock fields. bucket_build_seconds is
+/// wall-clock, hence excluded from determinism too.
 struct GeoStats {
   int64_t queries = 0;        ///< Point results answered (batched or not).
   int64_t batches = 0;        ///< Batch calls (ManyToOne/OneToMany/ManyToMany).

@@ -64,7 +64,7 @@ class RoutePlanner {
 
   /// The bound oracle (not owned). Exposed so callers about to issue a burst
   /// of plans over a known endpoint set can prime batch-capable oracles
-  /// (see ShareabilityGraph::Insert).
+  /// (see ShareabilityGraph::InsertBatch).
   TravelTimeOracle* oracle() const { return oracle_; }
 
   /// Number of PlanBest calls (diagnostics for the benches).

@@ -52,12 +52,14 @@ class ContractionHierarchy {
   /// a ChOracle and a BucketChOracle is then safe as long as each oracle
   /// serializes its own Query() use.
   std::span<const Arc> UpArcs(NodeId v) const {
-    return {&up_arcs_[up_offsets_[v]], &up_arcs_[up_offsets_[v + 1]]};
+    return {up_arcs_.data() + up_offsets_[v],
+            up_arcs_.data() + up_offsets_[v + 1]};
   }
   /// The backward search graph's arcs at `v` (Arc::to is the *tail* of the
   /// original arc; weights are unchanged).
   std::span<const Arc> DownArcs(NodeId v) const {
-    return {&down_arcs_[down_offsets_[v]], &down_arcs_[down_offsets_[v + 1]]};
+    return {down_arcs_.data() + down_offsets_[v],
+            down_arcs_.data() + down_offsets_[v + 1]};
   }
 
  private:

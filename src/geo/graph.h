@@ -62,13 +62,14 @@ class Graph {
 
   /// Outgoing arcs of `node`. Requires finalized().
   std::span<const Arc> OutArcs(NodeId node) const {
-    return {&out_arcs_[out_offsets_[node]],
-            &out_arcs_[out_offsets_[node + 1]]};
+    return {out_arcs_.data() + out_offsets_[node],
+            out_arcs_.data() + out_offsets_[node + 1]};
   }
 
   /// Incoming arcs of `node` (Arc::to is the tail). Requires finalized().
   std::span<const Arc> InArcs(NodeId node) const {
-    return {&in_arcs_[in_offsets_[node]], &in_arcs_[in_offsets_[node + 1]]};
+    return {in_arcs_.data() + in_offsets_[node],
+            in_arcs_.data() + in_offsets_[node + 1]};
   }
 
   /// True if every node can reach every other node treating arcs as

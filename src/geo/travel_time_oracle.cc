@@ -4,6 +4,13 @@
 
 namespace watter {
 
+int TravelTimeOracle::ClaimCounterSlot() {
+  static std::atomic<int> next_slot{0};
+  int slot = next_slot.fetch_add(1, std::memory_order_relaxed);
+  counter_slot_ = slot < kOwnedCounterSlots ? slot : kSharedCounterSlot;
+  return counter_slot_;
+}
+
 void TravelTimeOracle::ManyToOne(std::span<const NodeId> sources,
                                  NodeId target, std::span<double> out) {
   CountBatch(static_cast<int64_t>(sources.size()));

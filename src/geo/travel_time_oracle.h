@@ -8,6 +8,7 @@
 #ifndef WATTER_GEO_TRAVEL_TIME_ORACLE_H_
 #define WATTER_GEO_TRAVEL_TIME_ORACLE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -72,54 +73,78 @@ class TravelTimeOracle {
   virtual bool NativeBatch() const { return false; }
 
   /// Seconds spent building memoized search spaces (bucket-CH only; 0
-  /// elsewhere). Accumulated once per build under the oracle's mutex, so —
-  /// unlike the racy diagnostic counters below — it is exact.
+  /// elsewhere). Accumulated once per build under the oracle's mutex.
   virtual double bucket_build_seconds() const { return 0.0; }
 
   /// Number of point queries answered, batched or not (diagnostics).
-  int64_t query_count() const {
-    return query_count_.load(std::memory_order_relaxed);
-  }
+  int64_t query_count() const { return SumCounter(&CounterSlot::queries); }
 
   /// Number of batch calls answered (diagnostics).
-  int64_t batch_count() const {
-    return batch_count_.load(std::memory_order_relaxed);
-  }
+  int64_t batch_count() const { return SumCounter(&CounterSlot::batches); }
 
   /// Total batched endpoints across all batch calls: sources for
   /// many-to-one, targets for one-to-many, both for many-to-many. Divided
   /// by batch_count() this is the mean batch width the consumers achieve.
-  int64_t batch_points() const {
-    return batch_points_.load(std::memory_order_relaxed);
-  }
+  int64_t batch_points() const { return SumCounter(&CounterSlot::points); }
 
  protected:
-  // Deliberately non-atomic read-modify-writes (racy increments may be
-  // lost): Cost() is the hottest call in the tree and a lock-prefixed
-  // fetch_add here costs several percent end-to-end. The counters are purely
-  // diagnostic; the relaxed atomic accesses keep them TSan-clean and exact
-  // whenever queries are serial. These three (query_count_, batch_count_,
-  // batch_points_) are the only remaining racy-by-design counters —
-  // bucket_build_seconds accumulates under the bucket oracle's mutex and
-  // is exact.
+  // The counters are exact under concurrent callers without a lock-prefixed
+  // read-modify-write on the hot path (Cost() is the hottest call in the
+  // tree; a shared fetch_add costs several percent end-to-end). Each thread
+  // owns one cache-line-padded slot and bumps it with a plain relaxed
+  // load/store; readers sum the slots. Threads past the first
+  // kOwnedCounterSlots of the process share one overflow slot updated with
+  // fetch_add, which keeps them exact too. Readers racing with writers see
+  // some prefix of the increments; once the writers have synchronized with
+  // the reader (a ThreadPool join), the sum is exact.
   void CountQuery() { CountQueries(1); }
 
-  void CountQueries(int64_t n) {
-    query_count_.store(query_count_.load(std::memory_order_relaxed) + n,
-                       std::memory_order_relaxed);
-  }
+  void CountQueries(int64_t n) { Bump(&CounterSlot::queries, n); }
 
   void CountBatch(int64_t points) {
-    batch_count_.store(batch_count_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-    batch_points_.store(batch_points_.load(std::memory_order_relaxed) + points,
-                        std::memory_order_relaxed);
+    Bump(&CounterSlot::batches, 1);
+    Bump(&CounterSlot::points, points);
   }
 
  private:
-  std::atomic<int64_t> query_count_{0};
-  std::atomic<int64_t> batch_count_{0};
-  std::atomic<int64_t> batch_points_{0};
+  static constexpr int kOwnedCounterSlots = 64;
+  static constexpr int kSharedCounterSlot = kOwnedCounterSlots;
+
+  struct alignas(64) CounterSlot {
+    std::atomic<int64_t> queries{0};
+    std::atomic<int64_t> batches{0};
+    std::atomic<int64_t> points{0};
+  };
+
+  /// The calling thread's slot index, claimed on its first count (process-
+  /// wide, never released; kSharedCounterSlot once the owned slots run out).
+  static int ClaimCounterSlot();
+
+  // Constant-initialized and trivially destructible, so reading it needs no
+  // TLS init guard; -1 means "not claimed yet".
+  static inline constinit thread_local int counter_slot_ = -1;
+
+  void Bump(std::atomic<int64_t> CounterSlot::*field, int64_t n) {
+    int slot = counter_slot_;
+    if (slot < 0) [[unlikely]] slot = ClaimCounterSlot();
+    std::atomic<int64_t>& counter = counter_slots_[slot].*field;
+    if (slot == kSharedCounterSlot) [[unlikely]] {
+      counter.fetch_add(n, std::memory_order_relaxed);
+    } else {
+      counter.store(counter.load(std::memory_order_relaxed) + n,
+                    std::memory_order_relaxed);
+    }
+  }
+
+  int64_t SumCounter(std::atomic<int64_t> CounterSlot::*field) const {
+    int64_t sum = 0;
+    for (const CounterSlot& slot : counter_slots_) {
+      sum += (slot.*field).load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+
+  std::array<CounterSlot, kOwnedCounterSlots + 1> counter_slots_;
 };
 
 /// Oracle backed by a dense all-pairs matrix: O(1) per query.

@@ -137,7 +137,7 @@ class BestGroupMap {
   int64_t plan_cache_hits() const { return plan_cache_hits_; }
   int64_t plan_cache_misses() const { return plan_cache_misses_; }
   int64_t plan_cache_replans() const { return plan_cache_replans_; }
-  /// Pair plans adopted from ShareabilityGraph::Insert instead of being
+  /// Pair plans adopted from ShareabilityGraph::InsertBatch instead of being
   /// re-planned by a refresh (SeedPlan calls that actually inserted).
   int64_t plan_cache_seeds() const { return plan_cache_seeds_; }
   int64_t plan_cache_evictions() const { return plan_cache_.evictions(); }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -47,17 +48,23 @@ class OrderPool {
         best_(&graph_, &planner_, options.weights, options.capacity,
               options.cliques, options.include_singletons) {}
 
-  /// Installs the executor used by the maintenance passes (edge refresh on
-  /// insert, edge expiry, best-group recomputation). Null or a 1-thread
-  /// pool keeps the pool fully serial. Not owned; must outlive the pool's
-  /// use. Results are identical for any thread count.
+  /// Installs the executor used by the maintenance passes (pair tests on
+  /// insert, best-group recomputation). Null or a 1-thread pool keeps the
+  /// pool fully serial. Not owned; must outlive the pool's use. Results are
+  /// identical for any thread count.
   void set_executor(ThreadPool* executor) {
     graph_.set_executor(executor);
     best_.set_executor(executor);
   }
 
-  /// Inserts an arriving order (Algorithm 1 line 3) and updates edges and
-  /// dirty best-groups.
+  /// Inserts arriving orders (Algorithm 1 line 3) as one batch and updates
+  /// edges and dirty best-groups. The pool ends up exactly as after Insert
+  /// on each arrival in turn (ShareabilityGraph::InsertBatch); the batch
+  /// only shares one fan-out of the pair tests. Returns one status per
+  /// arrival (Ok, or AlreadyExists).
+  std::vector<Status> InsertBatch(std::span<const Arrival> arrivals);
+
+  /// Inserts one arriving order: a batch of one.
   Status Insert(const Order& order, Time now);
 
   /// Removes a dispatched/rejected/expired order (lines 12, 15).

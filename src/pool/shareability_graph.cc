@@ -10,8 +10,9 @@
 namespace watter {
 namespace {
 
-// Minimum shard size before a maintenance loop fans out to the executor;
-// below this the planner calls are cheaper than waking the pool.
+// Minimum number of pair tests per chunk, and per batch before InsertBatch
+// fans out to the executor; below this the planner calls are cheaper than
+// waking the pool.
 constexpr size_t kParallelGrain = 16;
 
 /// True if the route has riders of two different orders on board for a
@@ -31,106 +32,143 @@ bool RouteInterleaves(const Route& route) {
 
 }  // namespace
 
-Result<std::vector<OrderId>> ShareabilityGraph::Insert(
-    const Order& order, Time now, std::vector<PairPlanSeed>* pair_plans) {
+Result<std::vector<OrderId>> ShareabilityGraph::Insert(const Order& order,
+                                                       Time now) {
+  const Arrival arrival{&order, now};
+  InsertOutcome outcome = std::move(InsertBatch({&arrival, 1}).front());
+  if (!outcome.status.ok()) return outcome.status;
+  std::vector<OrderId> gained;
+  for (const PairPlanSeed& seed : outcome.seeds) gained.push_back(seed.other);
+  return gained;
+}
+
+std::vector<InsertOutcome> ShareabilityGraph::InsertBatch(
+    std::span<const Arrival> arrivals) {
   WATTER_TRACE_SPAN_HOT("graph.insert");
-  if (entries_.count(order.id) > 0) {
-    return Status::AlreadyExists("order " + std::to_string(order.id) +
-                                 " already pooled");
-  }
-  Entry entry;
-  entry.order = order;
-  entry.inserted_at = now;
+  std::vector<InsertOutcome> outcomes(arrivals.size());
 
-  // Candidate partners in ascending-id order, quick-rejected up front: an
-  // order past its latest dispatch can never be part of a feasible route,
-  // and the planner would discover that the expensive way. One sorted list
-  // serves the serial and parallel paths alike — adjacency *order* is
-  // unobservable (CliqueEnumerator sorts, every other consumer scans), so
-  // unifying on sorted ids changes no behavior; see the
-  // ParallelMaintenanceMatchesSerial property.
-  std::vector<OrderId> candidates;
-  if (now <= order.LatestDispatch()) {
-    candidates.reserve(entries_.size());
-    for (const auto& [other_id, other] : entries_) {
-      if (now > other.order.LatestDispatch()) continue;
-      candidates.push_back(other_id);
-    }
-    std::sort(candidates.begin(), candidates.end());
-  }
-  pair_tests_ += static_cast<int64_t>(candidates.size());
-
-  // Batch prefetch for natively batched oracles: every pair plan below needs
-  // costs between the new order's endpoints and the candidate's, so issue
-  // them as four anchor-shaped batches (one per direction per endpoint).
-  // The bucket backend answers each with two search spaces for the anchor
-  // plus one per distinct candidate node — and primes its memo cache, which
-  // turns the planner's point queries into hits. Results are discarded; the
-  // batches are bitwise-equal to the Cost() calls they pre-answer, so this
-  // cannot change any plan.
+  // Probe phase, serial and in arrival order: each arrival's candidate
+  // partners exactly as a one-at-a-time insert would see them — the
+  // resident orders plus the batch's earlier arrivals — quick-rejected at
+  // the arrival's own time (an order past its latest dispatch can never be
+  // part of a feasible route, and the planner would discover that the
+  // expensive way) and sorted by id. Arrival i's tests are
+  // pairs[first_pair[i], first_pair[i + 1]).
+  struct PairTest {
+    size_t arrival;
+    const Order* candidate;  // Points into entries_ or into `arrivals`.
+  };
+  std::vector<PairTest> pairs;
+  std::vector<size_t> first_pair(arrivals.size() + 1, 0);
+  std::vector<const Order*> admitted;  // Earlier arrivals that will commit.
   TravelTimeOracle* oracle = planner_->oracle();
-  if (oracle->NativeBatch() && !candidates.empty()) {
-    std::vector<NodeId> nodes;
-    nodes.reserve(candidates.size() * 2);
-    for (OrderId id : candidates) {
-      const Order& candidate = entries_.find(id)->second.order;
-      nodes.push_back(candidate.pickup);
-      nodes.push_back(candidate.dropoff);
+  std::vector<NodeId> nodes;
+  std::vector<double> scratch;
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    first_pair[i] = pairs.size();
+    const Order& order = *arrivals[i].order;
+    const Time now = arrivals[i].now;
+    const bool duplicate =
+        entries_.count(order.id) > 0 ||
+        std::any_of(admitted.begin(), admitted.end(),
+                    [&](const Order* other) { return other->id == order.id; });
+    if (duplicate) {
+      outcomes[i].status = Status::AlreadyExists(
+          "order " + std::to_string(order.id) + " already pooled");
+      continue;
     }
-    std::vector<double> scratch(nodes.size());
-    oracle->OneToMany(order.pickup, nodes, scratch);
-    oracle->OneToMany(order.dropoff, nodes, scratch);
-    oracle->ManyToOne(nodes, order.pickup, scratch);
-    oracle->ManyToOne(nodes, order.dropoff, scratch);
-  }
+    if (now <= order.LatestDispatch()) {
+      for (const auto& [other_id, other] : entries_) {
+        if (now <= other.order.LatestDispatch()) {
+          pairs.push_back(PairTest{i, &other.order});
+        }
+      }
+      for (const Order* other : admitted) {
+        if (now <= other->LatestDispatch()) pairs.push_back(PairTest{i, other});
+      }
+      std::sort(pairs.begin() + static_cast<ptrdiff_t>(first_pair[i]),
+                pairs.end(), [](const PairTest& a, const PairTest& b) {
+                  return a.candidate->id < b.candidate->id;
+                });
+    }
+    admitted.push_back(&order);
+    pair_tests_ += static_cast<int64_t>(pairs.size() - first_pair[i]);
 
-  // Fan-out phase: pair-feasibility tests are pure (planner + oracle are
-  // thread-safe; the graph is not mutated), each writing only its own slot.
+    // Batch prefetch for natively batched oracles: every pair plan of this
+    // arrival needs costs between its endpoints and the candidates', so
+    // issue them as four anchor-shaped batches (one per direction per
+    // endpoint). The bucket backend answers each with two search spaces for
+    // the anchor plus one per distinct candidate node — and primes its memo
+    // cache, which turns the planner's point queries into hits. Results are
+    // discarded; the batches are bitwise-equal to the Cost() calls they
+    // pre-answer, so this cannot change any plan.
+    if (oracle->NativeBatch() && pairs.size() > first_pair[i]) {
+      nodes.clear();
+      for (size_t k = first_pair[i]; k < pairs.size(); ++k) {
+        nodes.push_back(pairs[k].candidate->pickup);
+        nodes.push_back(pairs[k].candidate->dropoff);
+      }
+      scratch.resize(nodes.size());
+      oracle->OneToMany(order.pickup, nodes, scratch);
+      oracle->OneToMany(order.dropoff, nodes, scratch);
+      oracle->ManyToOne(nodes, order.pickup, scratch);
+      oracle->ManyToOne(nodes, order.dropoff, scratch);
+    }
+  }
+  first_pair[arrivals.size()] = pairs.size();
+
+  // Fan-out phase: one fork-join over every pair test of the batch. Tests
+  // are pure (planner + oracle are thread-safe; the graph is not mutated),
+  // each writing only its own slot.
   struct TestedEdge {
     ShareEdge edge;
     GroupPlan plan;
   };
-  auto test_pair = [&](size_t i) -> std::optional<TestedEdge> {
-    const Order& candidate = entries_.find(candidates[i])->second.order;
-    auto plan = planner_->PlanBest({&entry.order, &candidate}, now,
+  auto test_pair = [&](size_t k) -> std::optional<TestedEdge> {
+    const Arrival& arrival = arrivals[pairs[k].arrival];
+    const Order& candidate = *pairs[k].candidate;
+    auto plan = planner_->PlanBest({arrival.order, &candidate}, arrival.now,
                                    options_.capacity);
     if (!plan.ok()) return std::nullopt;
     if (options_.require_overlap && !RouteInterleaves(plan->route)) {
       return std::nullopt;
     }
-    ShareEdge edge{candidates[i], plan->latest_departure, plan->total_cost};
+    ShareEdge edge{candidate.id, plan->latest_departure, plan->total_cost};
     return TestedEdge{edge, std::move(plan).value()};
   };
   std::vector<std::optional<TestedEdge>> tested;
   bool parallel = executor_ != nullptr && executor_->num_threads() > 1 &&
-                  candidates.size() > kParallelGrain;
+                  pairs.size() > kParallelGrain;
   if (parallel) {
-    executor_->ParallelMap(candidates.size(), kParallelGrain, &tested,
-                           test_pair);
+    executor_->ParallelMap(pairs.size(), kParallelGrain, &tested, test_pair);
   } else {
-    tested.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      tested.push_back(test_pair(i));
-    }
+    tested.reserve(pairs.size());
+    for (size_t k = 0; k < pairs.size(); ++k) tested.push_back(test_pair(k));
   }
 
-  // Ordered commit: mirror each surviving edge on both endpoints, ascending
-  // by candidate id, and surface the plan behind it for cache seeding.
-  std::vector<OrderId> gained;
-  for (std::optional<TestedEdge>& t : tested) {
-    if (!t.has_value()) continue;
-    entry.edges.push_back(t->edge);
-    entries_.find(t->edge.other)
-        ->second.edges.push_back(
-            ShareEdge{order.id, t->edge.expiry, t->edge.pair_cost});
-    ++edge_count_;
-    gained.push_back(t->edge.other);
-    if (pair_plans != nullptr) {
-      pair_plans->push_back(PairPlanSeed{t->edge.other, std::move(t->plan)});
+  // Ordered commit, arrival by arrival: mirror each surviving edge on both
+  // endpoints, ascending by candidate id, and surface the plan behind it.
+  // An arrival's entry lands before the next arrival's commit mirrors edges
+  // onto it.
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    InsertOutcome& outcome = outcomes[i];
+    if (!outcome.status.ok()) continue;
+    Entry entry;
+    entry.order = *arrivals[i].order;
+    entry.inserted_at = arrivals[i].now;
+    for (size_t k = first_pair[i]; k < first_pair[i + 1]; ++k) {
+      std::optional<TestedEdge>& t = tested[k];
+      if (!t.has_value()) continue;
+      entry.edges.push_back(t->edge);
+      entries_.find(t->edge.other)
+          ->second.edges.push_back(
+              ShareEdge{entry.order.id, t->edge.expiry, t->edge.pair_cost});
+      ++edge_count_;
+      outcome.seeds.push_back(PairPlanSeed{t->edge.other, std::move(t->plan)});
     }
+    entries_.emplace(entry.order.id, std::move(entry));
   }
-  entries_.emplace(order.id, std::move(entry));
-  return gained;
+  return outcomes;
 }
 
 Result<std::vector<OrderId>> ShareabilityGraph::Remove(OrderId id) {
@@ -162,59 +200,20 @@ void ShareabilityGraph::RemoveEdgeTo(OrderId from, OrderId to) {
 
 std::vector<OrderId> ShareabilityGraph::ExpireEdges(Time now) {
   std::vector<OrderId> affected;
-  if (executor_ == nullptr || executor_->num_threads() <= 1 ||
-      entries_.size() <= kParallelGrain) {
-    // Serial fast path: one pass over the map, no snapshot. The affected
-    // list's *order* differs from the parallel path's sorted one, but it
-    // only feeds unordered dirty-marking, so behavior is identical.
-    for (auto& [id, entry] : entries_) {
-      auto& edges = entry.edges;
-      size_t before = edges.size();
-      edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                 [now](const ShareEdge& e) {
-                                   return e.expiry < now;
-                                 }),
-                  edges.end());
-      if (edges.size() != before) affected.push_back(id);
-    }
-    int64_t directed = 0;
-    for (const auto& [id, entry] : entries_) {
-      directed += static_cast<int64_t>(entry.edges.size());
-    }
-    // Each expired edge was trimmed from both endpoints.
-    edge_count_ = directed / 2;
-    return affected;
-  }
-
-  // Parallel path: shard by entry — each task trims exactly one adjacency
-  // list, so shards touch disjoint state. The snapshot is sorted so the
-  // affected list is identical for any thread count.
-  std::vector<OrderId> ids = OrderIds();
-  std::sort(ids.begin(), ids.end());
-  std::vector<int64_t> kept(ids.size(), 0);
-  std::vector<char> trimmed(ids.size(), 0);
-  executor_->ParallelFor(
-      ids.size(), kParallelGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          auto& edges = entries_.find(ids[i])->second.edges;
-          size_t before = edges.size();
-          edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                     [now](const ShareEdge& e) {
-                                       return e.expiry < now;
-                                     }),
-                      edges.end());
-          kept[i] = static_cast<int64_t>(edges.size());
-          trimmed[i] = edges.size() != before ? 1 : 0;
-        }
-      });
-
-  // Ordered reduction: rebuild the affected list and the edge count from
-  // the per-entry results.
   int64_t directed = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (trimmed[i]) affected.push_back(ids[i]);
-    directed += kept[i];
+  for (auto& [id, entry] : entries_) {
+    auto& edges = entry.edges;
+    size_t before = edges.size();
+    edges.erase(std::remove_if(edges.begin(), edges.end(),
+                               [now](const ShareEdge& e) {
+                                 return e.expiry < now;
+                               }),
+                edges.end());
+    if (edges.size() != before) affected.push_back(id);
+    directed += static_cast<int64_t>(edges.size());
   }
+  // Each expired edge was trimmed from both endpoints. The affected list's
+  // order is unspecified; it only feeds unordered dirty-marking.
   edge_count_ = directed / 2;
   return affected;
 }

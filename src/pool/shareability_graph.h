@@ -18,6 +18,7 @@
 #define WATTER_POOL_SHAREABILITY_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -35,13 +36,28 @@ struct ShareEdge {
   double pair_cost = 0.0;  ///< Minimal travel cost of the shared route.
 };
 
-/// A pair plan Insert computed while certifying an edge, surfaced so the
+/// A pair plan an insert computed while certifying an edge, surfaced so the
 /// caller can seed the group-plan cache instead of re-planning the same pair
 /// during the next RefreshBestGroups. `plan.completion` is aligned to the
 /// input order {inserted order, other}, not to sorted member ids.
 struct PairPlanSeed {
   OrderId other = kInvalidOrder;
   GroupPlan plan;
+};
+
+/// One arrival of a batch insert: `order` joins the graph at time `now`.
+struct Arrival {
+  const Order* order = nullptr;  ///< Not owned; read only during the call.
+  Time now = 0.0;
+};
+
+/// What inserting one arrival produced.
+struct InsertOutcome {
+  Status status;  ///< Ok, or AlreadyExists if the id was already resident.
+  /// One entry per new edge, ascending by neighbor id: the orders that
+  /// gained an edge to the arrival (their best group may improve), with the
+  /// plan behind each edge so callers can seed their plan caches.
+  std::vector<PairPlanSeed> seeds;
 };
 
 /// Configuration of edge creation.
@@ -55,29 +71,33 @@ struct ShareabilityOptions {
 /// The dynamic order pool graph.
 ///
 /// Concurrency model: the graph itself is single-writer — all mutation
-/// happens on the caller's thread. Insert and ExpireEdges internally fan
-/// their pure per-candidate/per-entry work out over an optional ThreadPool
-/// and commit the results serially in ascending-id order, so the resulting
-/// graph is bitwise identical for any thread count (see thread_pool.h,
-/// determinism contract).
+/// happens on the caller's thread. InsertBatch fans the pure pair-
+/// feasibility tests of a whole batch out over an optional ThreadPool in one
+/// fork-join and commits the results serially in arrival order, so the
+/// resulting graph is bitwise identical for any thread count (see
+/// thread_pool.h, determinism contract). ExpireEdges is a serial pass: its
+/// per-entry trims cost less than waking the pool.
 class ShareabilityGraph {
  public:
   ShareabilityGraph(RoutePlanner* planner, ShareabilityOptions options)
       : planner_(planner), options_(options) {}
 
-  /// Installs the executor used to parallelize Insert's pair-feasibility
-  /// tests and ExpireEdges' per-entry trims. Null (the default) or a
-  /// 1-thread pool keeps everything on the calling thread. Not owned.
+  /// Installs the executor used to parallelize InsertBatch's pair-
+  /// feasibility tests. Null (the default) or a 1-thread pool keeps
+  /// everything on the calling thread. Not owned.
   void set_executor(ThreadPool* executor) { executor_ = executor; }
 
-  /// Inserts `order` at time `now`, computing edges against every resident
-  /// order. Returns the ids of existing orders that gained an edge (their
-  /// best group may improve). AlreadyExists if the id is resident. When
-  /// `pair_plans` is non-null it receives the plan behind every new edge
-  /// (ascending by neighbor id) so callers can seed their plan caches.
-  Result<std::vector<OrderId>> Insert(
-      const Order& order, Time now,
-      std::vector<PairPlanSeed>* pair_plans = nullptr);
+  /// Inserts `arrivals` in order. The graph, the outcomes and pair_tests()
+  /// are exactly those of inserting each arrival on its own, in turn, at its
+  /// own `now`: arrival i is tested against the resident orders plus the
+  /// batch's earlier arrivals. Only the work is batched — every pair test of
+  /// the batch runs in one fan-out. Returns one outcome per arrival.
+  std::vector<InsertOutcome> InsertBatch(std::span<const Arrival> arrivals);
+
+  /// Inserts `order` at time `now` as a batch of one. Returns the ids of
+  /// existing orders that gained an edge, ascending. AlreadyExists if the id
+  /// is resident.
+  Result<std::vector<OrderId>> Insert(const Order& order, Time now);
 
   /// Removes an order and all its edges. Returns the ids of former
   /// neighbors. NotFound if absent.

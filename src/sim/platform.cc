@@ -191,15 +191,19 @@ void WatterPlatform::Observe(const Order& order, Time now, int action,
   observer_(obs);
 }
 
-void WatterPlatform::InsertArrival(const Order& order, Time now) {
-  if (!pool_.Insert(order, now).ok()) return;
+void WatterPlatform::InsertArrivals(std::span<const Arrival> arrivals) {
+  std::vector<Status> statuses = pool_.InsertBatch(arrivals);
   const Graph& graph = scenario_->city->graph;
-  demand_pickup_index_.Insert(order.id, graph.node_point(order.pickup));
-  demand_dropoff_index_.Insert(order.id, graph.node_point(order.dropoff));
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    const Order& order = *arrivals[i].order;
+    demand_pickup_index_.Insert(order.id, graph.node_point(order.pickup));
+    demand_dropoff_index_.Insert(order.id, graph.node_point(order.dropoff));
+  }
 }
 
 void WatterPlatform::RemoveFromIndexes(const Order& order) {
-  // Every pooled order was indexed by InsertArrival, so absence here would
+  // Every pooled order was indexed by InsertArrivals, so absence here would
   // mean the pool and the demand indexes have diverged.
   WATTER_CHECK_OK(demand_pickup_index_.Remove(order.id));
   WATTER_CHECK_OK(demand_dropoff_index_.Remove(order.id));
@@ -296,9 +300,9 @@ void WatterPlatform::RunCheck(Time now) {
                       &supply_counts_};
   std::vector<OrderId> ids;
   {
-    // Maintenance phase. Edge expiry shards per graph entry inside the
-    // pool. The three grid snapshots stay serial on purpose: each is
-    // O(cells) of trivial work, far below the pool's wake/join cost.
+    // Maintenance phase, serial on purpose: edge expiry and the three grid
+    // snapshots are each trivial per-entry or per-cell work, far below the
+    // pool's wake/join cost.
     WATTER_TRACE_SPAN("round.maintenance");
     PhaseTimer timer(sampling_, &round_sample_.maintenance_s);
     pool_.ExpireEdges(now);
@@ -1050,7 +1054,8 @@ void WatterPlatform::RecoverTrip(WorkerId id, Time now) {
     // ORIGINAL order's penalty, like a rejection.
     order.deadline = std::max(order.deadline, now) + fault_spec_.grace;
     if (order.LatestDispatch() >= now) {
-      InsertArrival(order, now);
+      const Arrival arrival{&order, now};
+      InsertArrivals({&arrival, 1});
       ++fault_stats_.recovered_orders;
     } else {
       metrics_.RecordFailedService(member.order);
@@ -1237,6 +1242,7 @@ MetricsReport WatterPlatform::Run() {
     Time next_check =
         orders.empty() ? 0.0 : orders.front().release + options_.check_period;
     Time last_event = orders.empty() ? 0.0 : orders.front().release;
+    std::vector<Arrival> arrivals;
     while (next_order < orders.size() || pool_.size() > 0) {
       Time arrival = next_order < orders.size() ? orders[next_order].release
                                                 : kInfCost;
@@ -1245,10 +1251,19 @@ MetricsReport WatterPlatform::Run() {
         next_check = arrival + options_.check_period;
       }
       if (arrival <= next_check) {
-        fleet_.ReleaseUntil(arrival);
-        InsertArrival(orders[next_order], arrival);
-        ++next_order;
-        last_event = arrival;
+        // Algorithm 1 acts on the pool only at checks, and nothing reads it
+        // in between, so every order released up to the next check joins in
+        // one batch insert — one fan-out of its pair tests instead of one
+        // per arrival, with the same pool as inserting them one by one.
+        arrivals.clear();
+        while (next_order < orders.size() &&
+               orders[next_order].release <= next_check) {
+          const Order& order = orders[next_order++];
+          fleet_.ReleaseUntil(order.release);
+          arrivals.push_back(Arrival{&order, order.release});
+          last_event = order.release;
+        }
+        InsertArrivals(arrivals);
       } else {
         fleet_.ReleaseUntil(next_check);
         RunCheck(next_check);
@@ -1280,9 +1295,9 @@ MetricsReport WatterPlatform::Run() {
   report.pool.plan_cache_seeds = pool_.best_groups().plan_cache_seeds();
   report.pool.reverse_index_fanout =
       pool_.best_groups().reverse_index_fanout();
-  // Oracle-side counters: diagnostic only (racy increments, backend-specific
-  // totals); cumulative since oracle construction, so they include scenario
-  // generation's shortest-cost sampling.
+  // Oracle-side counters: exact but backend-specific totals; cumulative
+  // since oracle construction, so they include scenario generation's
+  // shortest-cost sampling.
   const TravelTimeOracle& oracle = *scenario_->oracle;
   report.geo.queries = oracle.query_count();
   report.geo.batches = oracle.batch_count();

@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -203,7 +204,9 @@ class WatterPlatform {
     std::vector<AboardMember> members;
   };
 
-  void InsertArrival(const Order& order, Time now);
+  /// Pools `arrivals` in one batch insert and indexes the ones the pool
+  /// accepted in the demand grids.
+  void InsertArrivals(std::span<const Arrival> arrivals);
   void RunCheck(Time now);
   /// The sequential decision/dispatch loop (DispatchMode::kSerial).
   /// `propose_ids` is the budget-eligible subset of `ids` (== `ids` when

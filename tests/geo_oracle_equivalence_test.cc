@@ -16,6 +16,8 @@
 // unreachable (kInfCost) and source == target (0.0) verdicts.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -278,6 +280,45 @@ TEST(OracleEquivalenceEdgeTest, BatchCountersAccountEverySlot) {
   EXPECT_EQ(bucket.batch_count(), 3);
   EXPECT_EQ(bucket.batch_points(), 8 + 8);
   EXPECT_EQ(bucket.query_count(), 8 + 16);
+}
+
+// The diagnostic counters are exact under concurrent callers: N threads
+// each issuing M point queries and M batches through the wait-free matrix
+// oracle must add up to exactly N * M of each. 80 threads outnumber the
+// per-thread counter slots, so the shared overflow slot is exercised too.
+TEST(OracleCounterTest, ConcurrentCountsAreExact) {
+  auto city = GenerateCity({.width = 6, .height = 6, .seed = 3});
+  ASSERT_TRUE(city.ok());
+  auto oracle = BuildOracle(city->graph, OracleKind::kMatrix);
+  ASSERT_TRUE(oracle.ok());
+  TravelTimeOracle* shared = oracle->get();
+  constexpr int kThreads = 80;
+  constexpr int kCalls = 20000;
+  const int64_t queries = shared->query_count();
+  const int64_t batches = shared->batch_count();
+  const int64_t points = shared->batch_points();
+  std::latch start(kThreads);  // Every thread counts at the same time.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([shared, t, &start] {
+      start.arrive_and_wait();
+      const std::vector<NodeId> targets = {1, 2, 3};
+      std::vector<double> out(targets.size());
+      double sink = 0.0;
+      for (int i = 0; i < kCalls; ++i) {
+        sink += shared->Cost(t % 36, i % 36);
+        shared->OneToMany(t % 36, targets, out);
+      }
+      EXPECT_GE(sink, 0.0);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  constexpr int64_t kTotal = int64_t{kThreads} * kCalls;
+  // One point query per Cost() plus three per OneToMany (the base-class
+  // loop answers each slot with Cost()).
+  EXPECT_EQ(shared->query_count() - queries, kTotal * 4);
+  EXPECT_EQ(shared->batch_count() - batches, kTotal);
+  EXPECT_EQ(shared->batch_points() - points, kTotal * 3);
 }
 
 }  // namespace

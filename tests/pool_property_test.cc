@@ -465,6 +465,320 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PoolChurnPropertyTest,
                          testing::Values(17, 901, 6006));
 
 // ---------------------------------------------------------------------------
+// Batch insert vs. one-by-one inserts.
+// ---------------------------------------------------------------------------
+
+// One scripted mutation of the batch stream: a batch of arrivals (each at
+// its own time), a removal, or an edge expiry.
+struct BatchOp {
+  enum Kind { kBatch, kRemove, kExpire } kind;
+  std::vector<Order> orders;  // kBatch, in arrival order.
+  std::vector<Time> times;    // kBatch, non-decreasing.
+  OrderId target = kInvalidOrder;  // kRemove.
+  Time now = 0;  // Time after the op (the last arrival's for a batch).
+};
+
+// What the stream is built to exercise; counted while generating so every
+// seed can assert it hit each shape.
+struct BatchShapes {
+  int past_latest_dispatch = 0;  // Arrival already past its own deadline.
+  int expires_within_batch = 0;  // Candidate live for one arrival, not a later.
+  int duplicates = 0;            // Arrival whose id is already pooled.
+};
+
+// Random-size batches mixed with removals and expiries. Arrivals are spread
+// over up to ~2 minutes per batch, and a share of them get near-zero
+// slack, so candidates go stale between two arrivals of one batch; a few
+// arrive already past their latest dispatch, and a few reuse an id that is
+// resident or earlier in the same batch.
+std::vector<BatchOp> MakeBatchStream(const City& city, TravelTimeOracle* oracle,
+                                     uint64_t seed, int steps,
+                                     BatchShapes* shapes) {
+  Rng rng(seed * 7919 + 3);
+  Time now = 0.0;
+  OrderId next_id = 1;
+  std::vector<Order> alive;  // Resident orders, for removals and duplicates.
+  std::vector<BatchOp> ops;
+  for (int step = 0; step < steps; ++step) {
+    double action = rng.Uniform();
+    BatchOp op;
+    if (action < 0.6 || alive.empty()) {
+      op.kind = BatchOp::kBatch;
+      int size = static_cast<int>(rng.UniformInt(1, 12));
+      std::vector<Order> admitted;  // This batch's arrivals that will pool.
+      for (int k = 0; k < size; ++k) {
+        now += rng.Uniform(0, 12);
+        double roll = rng.Uniform();
+        Order order;
+        if (roll < 0.06 && !(alive.empty() && admitted.empty())) {
+          const std::vector<Order>& from =
+              admitted.empty() || (!alive.empty() && rng.Uniform() < 0.5)
+                  ? alive
+                  : admitted;
+          order = from[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(from.size()) - 1))];
+          ++shapes->duplicates;
+        } else {
+          order.id = next_id++;
+          order.pickup = city.RandomNode(&rng);
+          do {
+            order.dropoff = city.RandomNode(&rng);
+          } while (order.dropoff == order.pickup);
+          order.riders = static_cast<int>(rng.UniformInt(1, 2));
+          order.release = now;
+          order.shortest_cost = oracle->Cost(order.pickup, order.dropoff);
+          if (roll < 0.12) {
+            // Released a while ago and already past its latest dispatch.
+            order.release = now - rng.Uniform(30, 120);
+            order.deadline = order.release + order.shortest_cost +
+                             rng.Uniform(0, 20);
+            ++shapes->past_latest_dispatch;
+          } else if (roll < 0.35) {
+            // Near-zero slack: stale within a few of the batch's arrivals.
+            order.deadline = now + order.shortest_cost + rng.Uniform(0, 30);
+          } else {
+            order.deadline = now + rng.Uniform(1.2, 2.0) * order.shortest_cost;
+          }
+          order.wait_limit = 0.8 * order.shortest_cost;
+          admitted.push_back(order);
+        }
+        op.orders.push_back(order);
+        op.times.push_back(now);
+      }
+      // Candidates live at one arrival of the batch but stale at its last:
+      // residents from the first arrival on, each arrival from the next.
+      auto count_stale = [&](const Order& other, Time live_at) {
+        if (live_at <= other.LatestDispatch() &&
+            other.LatestDispatch() < op.times.back()) {
+          ++shapes->expires_within_batch;
+        }
+      };
+      for (const Order& other : alive) count_stale(other, op.times.front());
+      for (size_t k = 0; k + 1 < op.orders.size(); ++k) {
+        count_stale(op.orders[k], op.times[k + 1]);
+      }
+      for (const Order& order : admitted) alive.push_back(order);
+    } else if (action < 0.85) {
+      now += rng.Uniform(0, 12);
+      size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(alive.size()) - 1));
+      op.kind = BatchOp::kRemove;
+      op.target = alive[pick].id;
+      alive.erase(alive.begin() + static_cast<int64_t>(pick));
+    } else {
+      now += rng.Uniform(0, 12);
+      op.kind = BatchOp::kExpire;
+    }
+    op.now = now;
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+std::vector<Arrival> ArrivalsOf(const BatchOp& op) {
+  std::vector<Arrival> arrivals;
+  for (size_t k = 0; k < op.orders.size(); ++k) {
+    arrivals.push_back(Arrival{&op.orders[k], op.times[k]});
+  }
+  return arrivals;
+}
+
+void ExpectSamePlan(const GroupPlan& a, const GroupPlan& b) {
+  EXPECT_EQ(a.total_cost, b.total_cost);
+  EXPECT_EQ(a.latest_departure, b.latest_departure);
+  EXPECT_EQ(a.completion, b.completion);
+  EXPECT_EQ(a.route.stops, b.route.stops);
+  EXPECT_EQ(a.route.offsets, b.route.offsets);
+}
+
+// Exact graph comparison, adjacency *order* included (no sorting).
+void ExpectSameGraph(const ShareabilityGraph& a, const ShareabilityGraph& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.edge_count(), b.edge_count());
+  EXPECT_EQ(a.pair_tests(), b.pair_tests());
+  for (OrderId id : a.OrderIds()) {
+    ASSERT_TRUE(b.Contains(id)) << "node " << id;
+    EXPECT_EQ(a.InsertedAt(id), b.InsertedAt(id)) << "node " << id;
+    const std::vector<ShareEdge>& ea = a.Neighbors(id);
+    const std::vector<ShareEdge>& eb = b.Neighbors(id);
+    ASSERT_EQ(ea.size(), eb.size()) << "node " << id;
+    for (size_t i = 0; i < ea.size(); ++i) {
+      EXPECT_EQ(ea[i].other, eb[i].other) << "node " << id << " slot " << i;
+      EXPECT_EQ(ea[i].expiry, eb[i].expiry) << "node " << id;
+      EXPECT_EQ(ea[i].pair_cost, eb[i].pair_cost) << "node " << id;
+    }
+  }
+}
+
+class PoolBatchInsertTest : public testing::TestWithParam<uint64_t> {};
+
+// Graph level: InsertBatch — serial and on a 4-thread executor — must
+// produce the statuses, seeds, adjacency (in order), pair_tests and planner
+// traffic of inserting the same arrivals one by one.
+TEST_P(PoolBatchInsertTest, GraphBatchMatchesOneByOne) {
+  auto city = GenerateCity({.width = 14, .height = 14, .seed = GetParam()});
+  ASSERT_TRUE(city.ok());
+  auto oracle = BuildOracle(city->graph, OracleKind::kMatrix);
+  ASSERT_TRUE(oracle.ok());
+  BatchShapes shapes;
+  std::vector<BatchOp> ops =
+      MakeBatchStream(*city, oracle->get(), GetParam(), 160, &shapes);
+  EXPECT_GT(shapes.past_latest_dispatch, 0);
+  EXPECT_GT(shapes.expires_within_batch, 0);
+  EXPECT_GT(shapes.duplicates, 0);
+
+  ThreadPool executor(4);
+  RoutePlanner planner_one(oracle->get());
+  RoutePlanner planner_serial(oracle->get());
+  RoutePlanner planner_parallel(oracle->get());
+  ShareabilityGraph one(&planner_one, ShareabilityOptions{});
+  ShareabilityGraph serial(&planner_serial, ShareabilityOptions{});
+  ShareabilityGraph parallel(&planner_parallel, ShareabilityOptions{});
+  parallel.set_executor(&executor);
+
+  int already_exists = 0;
+  int in_batch_edges = 0;
+  int lone_stale_arrivals = 0;
+  for (const BatchOp& op : ops) {
+    if (op.kind == BatchOp::kRemove) {
+      for (ShareabilityGraph* g : {&one, &serial, &parallel}) {
+        ASSERT_TRUE(g->Remove(op.target).ok());
+      }
+      continue;
+    }
+    if (op.kind == BatchOp::kExpire) {
+      for (ShareabilityGraph* g : {&one, &serial, &parallel}) {
+        g->ExpireEdges(op.now);
+      }
+      continue;
+    }
+    std::vector<Arrival> arrivals = ArrivalsOf(op);
+    std::vector<InsertOutcome> batch_serial = serial.InsertBatch(arrivals);
+    std::vector<InsertOutcome> batch_parallel = parallel.InsertBatch(arrivals);
+    ASSERT_EQ(batch_serial.size(), arrivals.size());
+    ASSERT_EQ(batch_parallel.size(), arrivals.size());
+    for (size_t k = 0; k < arrivals.size(); ++k) {
+      // The reference: this arrival inserted on its own.
+      const InsertOutcome single =
+          std::move(one.InsertBatch({&arrivals[k], 1}).front());
+      for (const InsertOutcome* outcome :
+           {&batch_serial[k], &batch_parallel[k]}) {
+        ASSERT_EQ(outcome->status.code(), single.status.code()) << k;
+        ASSERT_EQ(outcome->seeds.size(), single.seeds.size());
+        for (size_t i = 0; i < single.seeds.size(); ++i) {
+          EXPECT_EQ(outcome->seeds[i].other, single.seeds[i].other);
+          ExpectSamePlan(outcome->seeds[i].plan, single.seeds[i].plan);
+        }
+      }
+      if (!single.status.ok()) {
+        EXPECT_EQ(single.status.code(), StatusCode::kAlreadyExists);
+        EXPECT_TRUE(single.seeds.empty());
+        ++already_exists;
+        continue;
+      }
+      // Edges commit ascending by partner id.
+      EXPECT_TRUE(std::is_sorted(single.seeds.begin(), single.seeds.end(),
+                                 [](const PairPlanSeed& a,
+                                    const PairPlanSeed& b) {
+                                   return a.other < b.other;
+                                 }));
+      if (op.times[k] > op.orders[k].LatestDispatch()) {
+        EXPECT_TRUE(single.seeds.empty());
+        ++lone_stale_arrivals;
+      }
+      for (const PairPlanSeed& seed : single.seeds) {
+        for (size_t j = 0; j < k; ++j) {
+          if (op.orders[j].id == seed.other) ++in_batch_edges;
+        }
+      }
+    }
+    ExpectSameGraph(one, serial);
+    ExpectSameGraph(one, parallel);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(planner_one.plan_count(), planner_serial.plan_count());
+  EXPECT_EQ(planner_one.plan_count(), planner_parallel.plan_count());
+  EXPECT_GT(already_exists, 0);
+  EXPECT_GT(in_batch_edges, 0);  // Arrivals of one batch paired up.
+  EXPECT_GT(lone_stale_arrivals, 0);
+  EXPECT_GT(one.edge_count(), 0);
+}
+
+// Pool level: the same stream through OrderPool::InsertBatch (serial and
+// 4-thread) and one-by-one Insert must leave identical graphs, best groups
+// and plan-cache counters — seeding and dirty-marking included.
+TEST_P(PoolBatchInsertTest, PoolBatchMatchesOneByOne) {
+  auto city = GenerateCity({.width = 14, .height = 14, .seed = GetParam()});
+  ASSERT_TRUE(city.ok());
+  auto oracle = BuildOracle(city->graph, OracleKind::kMatrix);
+  ASSERT_TRUE(oracle.ok());
+  BatchShapes shapes;
+  std::vector<BatchOp> ops =
+      MakeBatchStream(*city, oracle->get(), GetParam(), 160, &shapes);
+
+  ThreadPool executor(4);
+  OrderPool one(oracle->get(), PoolOptions{});
+  OrderPool serial(oracle->get(), PoolOptions{});
+  OrderPool parallel(oracle->get(), PoolOptions{});
+  parallel.set_executor(&executor);
+
+  int groups_seen = 0;
+  for (const BatchOp& op : ops) {
+    if (op.kind == BatchOp::kRemove) {
+      for (OrderPool* pool : {&one, &serial, &parallel}) {
+        ASSERT_TRUE(pool->Remove(op.target).ok());
+      }
+      continue;
+    }
+    if (op.kind == BatchOp::kExpire) {
+      for (OrderPool* pool : {&one, &serial, &parallel}) {
+        pool->ExpireEdges(op.now);
+      }
+      continue;
+    }
+    std::vector<Arrival> arrivals = ArrivalsOf(op);
+    std::vector<Status> statuses_serial = serial.InsertBatch(arrivals);
+    std::vector<Status> statuses_parallel = parallel.InsertBatch(arrivals);
+    for (size_t k = 0; k < arrivals.size(); ++k) {
+      Status status = one.Insert(op.orders[k], op.times[k]);
+      EXPECT_EQ(statuses_serial[k].code(), status.code()) << k;
+      EXPECT_EQ(statuses_parallel[k].code(), status.code()) << k;
+    }
+    ExpectSameGraph(one.graph(), serial.graph());
+    ExpectSameGraph(one.graph(), parallel.graph());
+
+    // A check: refresh every pooled order and compare the winners.
+    std::vector<OrderId> ids = one.SortedOrderIds();
+    for (OrderPool* pool : {&one, &serial, &parallel}) {
+      pool->ExpireEdges(op.now);
+      pool->RefreshBestGroups(ids, op.now);
+    }
+    ExpectSameBestGroups(&one, &serial, ids, op.now);
+    ExpectSameBestGroups(&one, &parallel, ids, op.now);
+    for (OrderId id : ids) {
+      if (one.BestFor(id, op.now) != nullptr) ++groups_seen;
+    }
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(groups_seen, 0);
+  for (OrderPool* pool : {&serial, &parallel}) {
+    BestGroupMap& a = one.best_groups();
+    BestGroupMap& b = pool->best_groups();
+    EXPECT_EQ(a.plan_cache_seeds(), b.plan_cache_seeds());
+    EXPECT_EQ(a.recompute_count(), b.recompute_count());
+    EXPECT_EQ(a.groups_evaluated(), b.groups_evaluated());
+    EXPECT_EQ(a.plan_cache_hits(), b.plan_cache_hits());
+    EXPECT_EQ(a.plan_cache_misses(), b.plan_cache_misses());
+    EXPECT_EQ(a.plan_cache_size(), b.plan_cache_size());
+    EXPECT_EQ(one.planner().plan_count(), pool->planner().plan_count());
+  }
+  EXPECT_GT(one.best_groups().plan_cache_seeds(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PoolBatchInsertTest,
+                         testing::Values(7, 4242, 90001));
+
+// ---------------------------------------------------------------------------
 // Plan-cache seeding from edge certification.
 // ---------------------------------------------------------------------------
 

@@ -142,9 +142,14 @@ TEST_P(ParallelDeterminismTest, MetricsIdenticalAcrossThreadCounts) {
   ASSERT_GT(reference.report.served, 0);
   ASSERT_FALSE(reference.served.empty());
   for (int threads : {2, 8}) {
-    ExpectIdentical(reference,
-                    RunWithThreads(seed(), threads, 0.0, dispatch()),
-                    threads);
+    RunOutcome candidate = RunWithThreads(seed(), threads, 0.0, dispatch());
+    ExpectIdentical(reference, candidate, threads);
+    // The oracle work is a pure function of the scenario and its counters
+    // are exact under concurrent callers, so they match too.
+    EXPECT_EQ(reference.report.geo.queries, candidate.report.geo.queries);
+    EXPECT_EQ(reference.report.geo.batches, candidate.report.geo.batches);
+    EXPECT_EQ(reference.report.geo.batch_points,
+              candidate.report.geo.batch_points);
   }
 }
 
@@ -175,8 +180,7 @@ std::string CaseName(
 // every batch slot equals its Cost() twin to the last ulp, swapping the
 // backend may only move runtime, never a decision. The geo counters in
 // MetricsReport::geo are excluded like wall-clock (the backends intentionally
-// issue different query counts, and the racy diagnostic increments are not
-// thread-invariant).
+// issue different query counts).
 class GeoBackendDeterminismTest
     : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {
  protected:
