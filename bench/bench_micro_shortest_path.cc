@@ -1,5 +1,5 @@
 // Micro benchmarks of the shortest-path substrate: plain Dijkstra vs
-// bidirectional search vs contraction hierarchies vs the APSP matrix, plus
+// contraction hierarchies vs the APSP matrix, plus
 // the one-time preprocessing costs. Validates the oracle choice guidance in
 // DESIGN.md (matrix for simulation cities, CH for larger graphs).
 #include <benchmark/benchmark.h>
@@ -8,7 +8,6 @@
 
 #include "src/common/rng.h"
 #include "src/geo/apsp.h"
-#include "src/geo/bidirectional_dijkstra.h"
 #include "src/geo/city_generator.h"
 #include "src/geo/contraction_hierarchy.h"
 #include "src/geo/dijkstra.h"
@@ -37,18 +36,6 @@ void BM_DijkstraPointToPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraPointToPoint);
-
-void BM_BidirectionalDijkstra(benchmark::State& state) {
-  const City& city = BenchCity();
-  BidirectionalDijkstra search(&city.graph);
-  Rng rng(1);
-  for (auto _ : state) {
-    NodeId s = city.RandomNode(&rng);
-    NodeId t = city.RandomNode(&rng);
-    benchmark::DoNotOptimize(search.Query(s, t));
-  }
-}
-BENCHMARK(BM_BidirectionalDijkstra);
 
 void BM_ContractionHierarchyQuery(benchmark::State& state) {
   const City& city = BenchCity();

@@ -400,7 +400,7 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             "\"cancelled\": %lld, \"failed_services\": %lld, "
             "\"fault_dropouts\": %lld, \"fault_midroute_dropouts\": %lld, "
             "\"fault_late_dropouts\": %lld, \"fault_returns\": %lld, "
-            "\"fault_brownout_rounds\": %lld, \"fault_stalls\": %lld, "
+            "\"fault_brownout_rounds\": %lld, "
             "\"fault_recovered_orders\": %lld, "
             "\"fault_aborted_commits\": %lld, \"shed_orders\": %lld, "
             "\"degraded_rounds\": %lld, \"work_units\": %lld}",
@@ -429,7 +429,6 @@ void RunSweep(const std::string& figure, DatasetKind dataset,
             static_cast<long long>(r.faults.late_dropouts),
             static_cast<long long>(r.faults.returns),
             static_cast<long long>(r.faults.brownout_rounds),
-            static_cast<long long>(r.faults.stalls),
             static_cast<long long>(r.faults.recovered_orders),
             static_cast<long long>(r.faults.aborted_commits),
             static_cast<long long>(r.faults.shed_orders),

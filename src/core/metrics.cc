@@ -136,7 +136,6 @@ std::string MetricsReportJson(const MetricsReport& report) {
   i64("fault_late_dropouts", report.faults.late_dropouts);
   i64("fault_returns", report.faults.returns);
   i64("fault_brownout_rounds", report.faults.brownout_rounds);
-  i64("fault_stalls", report.faults.stalls);
   i64("fault_recovered_orders", report.faults.recovered_orders);
   i64("fault_aborted_commits", report.faults.aborted_commits);
   i64("shed_orders", report.faults.shed_orders);

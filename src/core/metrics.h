@@ -90,7 +90,6 @@ struct FaultStats {
   int64_t late_dropouts = 0;      ///< Dropouts between resolve and commit.
   int64_t returns = 0;            ///< Workers brought back online.
   int64_t brownout_rounds = 0;    ///< Rounds run under a degraded oracle.
-  int64_t stalls = 0;             ///< Pipeline stall events injected.
   int64_t recovered_orders = 0;   ///< Aboard orders re-pooled after a dropout.
   int64_t failed_services = 0;    ///< Aboard orders past deadline at dropout.
   int64_t aborted_commits = 0;    ///< Winning offers undone by a lost worker.

@@ -1,5 +1,6 @@
 #include "src/obs/histogram_registry.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace watter {
@@ -27,9 +28,15 @@ std::vector<HistogramSnapshot> HistogramRegistry::Snapshots() const {
     snap.mean = hist.mean();
     snap.min = hist.min_seen();
     snap.max = hist.max_seen();
-    snap.p50 = hist.Quantile(0.5);
-    snap.p90 = hist.Quantile(0.9);
-    snap.p99 = hist.Quantile(0.99);
+    // Quantiles interpolate within a bin, so they can land outside the
+    // values actually recorded (a bin-0-only histogram reports p50 at half
+    // the bin width); clamp them to the observed range.
+    const auto quantile = [&hist](double q) {
+      return std::clamp(hist.Quantile(q), hist.min_seen(), hist.max_seen());
+    };
+    snap.p50 = quantile(0.5);
+    snap.p90 = quantile(0.9);
+    snap.p99 = quantile(0.99);
     out.push_back(std::move(snap));
   }
   return out;

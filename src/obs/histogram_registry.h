@@ -1,5 +1,5 @@
 // HistogramRegistry: process-global named latency histograms (plan latency,
-// phase durations, commit-pipeline lag), built on stats::Histogram.
+// phase durations), built on stats::Histogram.
 //
 // Like the TraceRecorder, the registry is compiled in everywhere and
 // disabled by default: `enabled()` is one relaxed atomic load, and a

@@ -31,7 +31,9 @@ struct RoundSample {
   // State at the end of the round.
   int64_t pool_size = 0;
   int64_t shareability_edges = 0;
-  int64_t pipeline_depth = 0;  ///< Commit-pipeline backlog after the round.
+  /// Always 0: commits are synchronous. Kept so timeline readers keep
+  /// their column.
+  int64_t pipeline_depth = 0;
 
   // What the round's decision loop did.
   int64_t offers = 0;
@@ -49,8 +51,8 @@ struct RoundSample {
   int64_t geo_batches = 0;
 
   // Robustness columns (docs/ROBUSTNESS.md) — all zero when fault injection
-  // and the work budget are off. fault_events counts the dropout/return/
-  // stall events applied this round; degraded is 1 while a brownout window
+  // and the work budget are off. fault_events counts the dropout/return
+  // events applied this round; degraded is 1 while a brownout window
   // is open; the rest are per-round deltas of the FaultStats counters.
   int64_t fault_events = 0;
   int64_t recovered = 0;   ///< Aboard orders re-pooled after dropouts.

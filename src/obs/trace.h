@@ -18,10 +18,10 @@
 //
 // Synchronization: appends are unsynchronized by design. Export/Snapshot
 // must therefore be quiescent — called only when every traced thread has
-// either exited or synchronized with the exporting thread (thread join,
-// ThreadPool's job handshake, CommitPipeline::Drain all establish the
-// needed happens-before). The platform exports at the end of Run(), after
-// its pools have drained; tests export after joining their threads.
+// either exited or synchronized with the exporting thread (thread join and
+// ThreadPool's job handshake both establish the needed happens-before). The
+// platform exports at the end of Run(), after its pools have drained; tests
+// export after joining their threads.
 //
 // This header is deliberately self-contained (std only, fully inline) so
 // low-level modules — the common ThreadPool, the geo oracles — can emit
@@ -94,7 +94,7 @@ class TraceRecorder {
   }
 
   /// Names the calling thread's track in the exported trace ("main",
-  /// "pool-worker-3", "commit-pipeline"). Cheap; callable any time.
+  /// "pool-worker-3"). Cheap; callable any time.
   void SetCurrentThreadName(const std::string& name) {
     CurrentBuffer()->name = name;
   }

@@ -7,7 +7,6 @@
 #define WATTER_POOL_ORDER_POOL_H_
 
 #include <algorithm>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -102,23 +101,6 @@ class OrderPool {
     std::vector<OrderId> ids = graph_.OrderIds();
     std::sort(ids.begin(), ids.end());
     return ids;
-  }
-  /// SortedOrderIds bucketed by shard region: bucket `r` holds the pooled
-  /// ids with `region_of(order) == r`, each bucket ascending. Concatenating
-  /// the buckets yields a permutation of SortedOrderIds — the sharded
-  /// propose phase walks buckets so each shard scans a contiguous,
-  /// cache-friendly slice, while the commit pass re-imposes the global
-  /// sorted-offers order.
-  std::vector<std::vector<OrderId>> SortedOrderIdsByRegion(
-      int num_regions,
-      const std::function<int(const Order&)>& region_of) const {
-    std::vector<std::vector<OrderId>> buckets(
-        static_cast<size_t>(std::max(1, num_regions)));
-    for (OrderId id : SortedOrderIds()) {
-      buckets[static_cast<size_t>(region_of(*graph_.GetOrder(id)))]
-          .push_back(id);
-    }
-    return buckets;
   }
 
   size_t size() const { return graph_.size(); }

@@ -75,12 +75,6 @@ Result<FaultSpec> ParseFaultSpec(const std::string& spec) {
     } else if (key == "brownout_factor") {
       ok = ParseDouble(value, &out.brownout_factor) &&
            out.brownout_factor > 0.0;
-    } else if (key == "stalls") {
-      ok = ParseCount(value, &out.stalls);
-    } else if (key == "stall_ms") {
-      ok = ParseDouble(value, &out.stall_ms) && out.stall_ms >= 0.0;
-    } else if (key == "qcap") {
-      ok = ParseCount(value, &out.qcap);
     } else {
       return Status::InvalidArgument("unknown fault key '" + key + "'");
     }
@@ -118,9 +112,6 @@ std::string FaultSpecToString(const FaultSpec& spec) {
   if (spec.brownout_factor != defaults.brownout_factor) {
     add("brownout_factor=" + num(spec.brownout_factor));
   }
-  if (spec.stalls) add("stalls=" + std::to_string(spec.stalls));
-  if (spec.stall_ms != defaults.stall_ms) add("stall_ms=" + num(spec.stall_ms));
-  if (spec.qcap) add("qcap=" + std::to_string(spec.qcap));
   return out;
 }
 
@@ -134,8 +125,6 @@ const char* FaultKindName(FaultKind kind) {
       return "brownout_start";
     case FaultKind::kBrownoutEnd:
       return "brownout_end";
-    case FaultKind::kStall:
-      return "stall";
     case FaultKind::kLateDropout:
       return "late_dropout";
   }
@@ -147,10 +136,12 @@ FaultInjector::FaultInjector(const FaultSpec& spec, int num_workers,
     : spec_(spec) {
   Rng rng(spec.seed);
   // Fork order is part of the schedule contract: adding a fault type later
-  // must append a fork, never reorder these.
+  // must append a fork, never reorder these. The third stream belonged to a
+  // retired fault kind; it is still forked so every seed keeps its
+  // late-dropout schedule.
   Rng drop_rng = rng.Fork();
   Rng brown_rng = rng.Fork();
-  Rng stall_rng = rng.Fork();
+  rng.Fork();
   Rng late_rng = rng.Fork();
 
   if (num_workers > 0) {
@@ -176,12 +167,6 @@ FaultInjector::FaultInjector(const FaultSpec& spec, int num_workers,
     close.time = open.time + spec.brownout_len;
     close.kind = FaultKind::kBrownoutEnd;
     events_.push_back(close);
-  }
-  for (int i = 0; i < spec.stalls; ++i) {
-    FaultEvent stall;
-    stall.time = start + stall_rng.Uniform(0.0, horizon);
-    stall.kind = FaultKind::kStall;
-    events_.push_back(stall);
   }
   if (num_workers > 0) {
     for (int i = 0; i < spec.late_dropouts; ++i) {

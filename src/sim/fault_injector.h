@@ -2,15 +2,14 @@
 //
 // A FaultSpec (parsed from the `--faults key=value;...` grammar, see
 // docs/ROBUSTNESS.md) describes a population of fault events: worker
-// dropouts and returns, oracle brownout windows, and commit-pipeline
-// stalls. FaultInjector expands the spec into a concrete event schedule
-// up front, as a pure function of (spec, fleet size, arrival window)
-// driven by the spec's own seeded RNG stream — never the platform's — so
-// the same
-// spec yields the same schedule on every engine, thread count, and shard
-// count. The platform consumes events serially at round boundaries
-// (TakeDue) and between conflict resolution and commit (TakeLateDue),
-// which keeps faulted runs bitwise deterministic.
+// dropouts and returns, and oracle brownout windows. FaultInjector expands
+// the spec into a concrete event schedule up front, as a pure function of
+// (spec, fleet size, arrival window) driven by the spec's own seeded RNG
+// stream — never the platform's — so the same spec yields the same
+// schedule on every engine, thread count, and shard count. The platform
+// consumes events serially at round boundaries (TakeDue) and between
+// conflict resolution and commit (TakeLateDue), which keeps faulted runs
+// bitwise deterministic.
 #ifndef WATTER_SIM_FAULT_INJECTOR_H_
 #define WATTER_SIM_FAULT_INJECTOR_H_
 
@@ -61,22 +60,9 @@ struct FaultSpec {
   /// 1.0 makes brownouts observable-only.
   double brownout_factor = 1.5;
 
-  /// Commit-pipeline stall events: each injects a consumer-side sleep,
-  /// exercising backpressure on the bounded queue. Wall-clock only —
-  /// stalls never touch metrics.
-  int stalls = 0;
-
-  /// Consumer sleep per stall event, in milliseconds.
-  double stall_ms = 50.0;
-
-  /// Bound on the commit pipeline's queue depth (0 = unbounded).
-  /// Producers block when the queue is full.
-  int qcap = 0;
-
-  /// True when any event is scheduled (brownouts/stalls included).
+  /// True when any event is scheduled (brownouts included).
   bool any() const {
-    return dropouts > 0 || late_dropouts > 0 || brownouts > 0 || stalls > 0 ||
-           qcap > 0;
+    return dropouts > 0 || late_dropouts > 0 || brownouts > 0;
   }
 
   /// True when any worker dropout (regular or late) is scheduled.
@@ -98,7 +84,6 @@ enum class FaultKind {
   kReturn,         // Offline worker comes back online.
   kBrownoutStart,  // Oracle degradation window opens.
   kBrownoutEnd,    // Oracle degradation window closes.
-  kStall,          // Commit-pipeline consumer sleeps.
   kLateDropout,    // Worker goes offline between resolve and commit.
 };
 

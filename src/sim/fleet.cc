@@ -71,14 +71,14 @@ std::vector<WorkerId> Fleet::IdleWorkerIds() const {
   return ids;
 }
 
-bool Fleet::TryClaim(WorkerId id, int arena) {
+bool Fleet::TryClaim(WorkerId id) {
   // A worker is claimable exactly while it sits in the idle index: driving
   // workers left it in CommitClaim, claimed ones in a previous TryClaim,
   // offline ones in TakeOffline.
   if (!idle_index_.Contains(id)) return false;
   WATTER_CHECK_OK(idle_index_.Remove(id));
   workers_[id - 1].busy = true;
-  claimed_.emplace(id, arena);
+  claimed_.insert(id);
   return true;
 }
 
@@ -106,20 +106,6 @@ Status Fleet::ReleaseClaim(WorkerId id) {
   worker.busy = false;
   idle_index_.Insert(id, graph_->node_point(worker.location));
   return Status::Ok();
-}
-
-int Fleet::ReleaseArena(int arena) {
-  std::vector<WorkerId> staged;
-  for (const auto& [id, claim_arena] : claimed_) {
-    if (claim_arena == arena) staged.push_back(id);
-  }
-  // Ascending-id rollback: the released workers re-enter the idle index in
-  // a deterministic order, so later probes never depend on map iteration.
-  std::sort(staged.begin(), staged.end());
-  // The ids were collected from claimed_ this instant, so each release must
-  // succeed — failure here is a real invariant break, not a fault path.
-  for (WorkerId id : staged) WATTER_CHECK_OK(ReleaseClaim(id));
-  return static_cast<int>(staged.size());
 }
 
 Status Fleet::Dispatch(WorkerId id, Time until, NodeId final_node) {

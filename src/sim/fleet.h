@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
@@ -55,33 +55,27 @@ class Fleet {
   WorkerId FindClosestIdle(NodeId target, int min_capacity,
                            TravelTimeOracle* oracle, int candidates = 8) const;
 
-  /// Two-phase dispatch, used by the batched commit pass (docs/DISPATCH.md):
+  /// Two-phase dispatch, used by the commit path of both engines
+  /// (docs/DISPATCH.md):
   ///
-  ///   TryClaim(w, arena)   reserve an idle worker; later probes skip it
+  ///   TryClaim(w)          reserve an idle worker; later probes skip it
   ///   CommitClaim(w, ...)  finalize: busy until `until` at `final_node`
   ///   ReleaseClaim(w)      roll back an unfinalized claim; idle again
-  ///   ReleaseArena(a)      roll back every unfinalized claim in arena `a`
   ///
   /// TryClaim returns false when the worker is not currently idle (claimed,
   /// driving, or offline) — the caller's offer then loses the
-  /// worker-contention conflict. `arena` tags the claim for bulk rollback:
-  /// the sharded commit pass stages each shard's claims in their own arena
-  /// (border winners in a dedicated extra arena) so a whole shard's staging
-  /// can be rolled back as one unit if it is abandoned before CommitClaim.
-  /// ReleaseArena rolls its claims back in ascending worker-id order
-  /// (deterministic) and returns how many it released. Claims are
-  /// serial-phase only; they are not thread-safe.
+  /// worker-contention conflict. Claims are serial-phase only; they are not
+  /// thread-safe.
   ///
   /// CommitClaim and ReleaseClaim return FailedPrecondition instead of
   /// aborting when the worker holds no claim — reachable when a fault takes
   /// a claimed worker offline between resolution and commit, so the platform
   /// loop handles it as a recoverable conflict (docs/ROBUSTNESS.md).
-  bool TryClaim(WorkerId id, int arena = 0);
+  bool TryClaim(WorkerId id);
   Status CommitClaim(WorkerId id, Time until, NodeId final_node);
   Status ReleaseClaim(WorkerId id);
-  int ReleaseArena(int arena);
 
-  /// Unfinalized claims currently outstanding (all arenas).
+  /// Unfinalized claims currently outstanding.
   int claimed_count() const { return static_cast<int>(claimed_.size()); }
 
   /// One-shot claim + commit for the serial dispatch path. Fails with
@@ -127,9 +121,8 @@ class Fleet {
   std::priority_queue<BusyEntry, std::vector<BusyEntry>,
                       std::greater<BusyEntry>>
       busy_;
-  // Workers claimed but not yet committed/released, tagged with the claim
-  // arena that staged them (commit-pass state).
-  std::unordered_map<WorkerId, int> claimed_;
+  // Workers claimed but not yet committed/released (commit-pass state).
+  std::unordered_set<WorkerId> claimed_;
   std::vector<uint32_t> trip_epoch_;  // Indexed by id - 1.
   int offline_count_ = 0;
 };

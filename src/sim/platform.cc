@@ -79,14 +79,6 @@ constexpr int64_t kPlanWorkUnits = 8;
 // retain enough budget to make progress on the most urgent orders.
 constexpr int64_t kMinWatchdogBudget = 64;
 
-// Everything a deferred commit job records about one served member, copied
-// out of the pool before the member is removed.
-struct ServedMember {
-  Order order;
-  double response = 0.0;
-  double detour = 0.0;
-};
-
 // Accumulates the enclosing scope's wall-clock into `*slot` when armed;
 // disarmed it reads no clock at all (the timeline contract: sampling off is
 // free, sampling on touches only diagnostic state).
@@ -145,12 +137,6 @@ WatterPlatform::WatterPlatform(Scenario* scenario, ThresholdProvider* provider,
                             scenario->city->graph.MaxCorner(),
                             options.grid_cells) {
   pool_.set_executor(&executor_);
-  // The bookkeeping pipeline exists only for the sharded batched engine;
-  // the unsharded path keeps its fully synchronous commit. The fault
-  // spec's qcap bounds the queue (0 = unbounded, the default).
-  if (options_.dispatch == DispatchMode::kBatched && num_shards_ > 1) {
-    pipeline_ = std::make_unique<CommitPipeline>(fault_spec_.qcap);
-  }
   track_trips_ = injector_ != nullptr && fault_spec_.has_dropouts();
   work_budget_ = ResolveBudget(options_, *scenario);
   effective_budget_ = work_budget_;
@@ -221,62 +207,17 @@ void WatterPlatform::RejectOrder(const Order& order, Time now,
   WATTER_CHECK_OK(pool_.Remove(order.id));
 }
 
-bool WatterPlatform::TryDispatch(const std::vector<const Order*>& members,
-                                 const GroupPlan& plan, Time now) {
-  int riders = 0;
-  for (const Order* member : members) riders += member->riders;
-  NodeId first_stop = plan.route.stops.front().node;
-  WorkerId worker_id =
-      fleet_.FindClosestIdle(first_stop, riders, oracle_,
-                             options_.worker_candidates);
-  if (worker_id == kInvalidWorker) return false;
-
-  // Claim-validate-commit (the same two-phase protocol the batched commit
-  // pass uses): reserve the worker, roll the claim back if the exact
-  // pickup leg turns out unreachable. The claim itself must succeed —
-  // FindClosestIdle just returned the worker from the idle index and
-  // nothing mutates the fleet in between.
-  WATTER_CHECK(fleet_.TryClaim(worker_id),
-               "serial dispatch: closest idle worker not claimable");
-  const Worker& worker = fleet_.worker(worker_id);
-  double pickup_delay = oracle_->Cost(worker.location, first_stop);
-  if (pickup_delay == kInfCost) {
-    WATTER_CHECK_OK(fleet_.ReleaseClaim(worker_id));
-    return false;
-  }
-
-  // Record outcomes per member (response = notification wait, Definition 4;
-  // detour per Definition 5).
-  ActiveTrip trip;
-  for (size_t i = 0; i < members.size(); ++i) {
-    const Order& member = *members[i];
-    double response = now - member.release;
-    // Clamp: float rounding in matrix oracles can yield -1e-5 "detours".
-    double detour =
-        std::max(0.0, plan.completion[i] - member.shortest_cost);
-    metrics_.RecordServed(member, response, detour,
-                          static_cast<int>(members.size()));
-    Observe(member, now, /*action=*/1, /*expired=*/false, detour);
-    if (track_trips_) {
-      trip.members.push_back({member, response, detour,
-                              now + pickup_delay + plan.completion[i]});
-    }
-  }
-  metrics_.AddWorkerTravel(pickup_delay + plan.total_cost);
-  NodeId final_node = plan.route.stops.back().node;
-  WATTER_CHECK_OK(fleet_.CommitClaim(
-      worker_id, now + pickup_delay + plan.total_cost, final_node));
-  if (track_trips_) {
-    trip.dispatch_time = now;
-    trip.travel = pickup_delay + plan.total_cost;
-    trip.group_size = static_cast<int>(members.size());
-    TrackTrip(worker_id, std::move(trip));
-  }
-  for (const Order* member : members) {
-    RemoveFromIndexes(*member);
-    WATTER_CHECK_OK(pool_.Remove(member->id));
-  }
-  return true;
+void WatterPlatform::BindWorker(DispatchOffer* offer, int riders) const {
+  NodeId first_stop = offer->plan.route.stops.front().node;
+  WorkerId worker_id = fleet_.FindClosestIdle(first_stop, riders, oracle_,
+                                              options_.worker_candidates);
+  if (worker_id == kInvalidWorker) return;
+  double pickup_delay =
+      oracle_->Cost(fleet_.worker(worker_id).location, first_stop);
+  if (pickup_delay == kInfCost) return;
+  offer->worker = worker_id;
+  offer->pickup_delay = pickup_delay;
+  offer->cost = pickup_delay + offer->plan.total_cost;
 }
 
 void WatterPlatform::RunCheck(Time now) {
@@ -380,6 +321,20 @@ void WatterPlatform::RunDecisionLoopSerial(
   const bool shedding = propose_ids.size() != ids.size();
   std::unordered_set<OrderId> eligible;
   if (shedding) eligible.insert(propose_ids.begin(), propose_ids.end());
+  // Binds the closest idle worker and commits through the batched engine's
+  // commit path; false, with nothing changed, when no worker can take the
+  // group. Nothing touches the fleet between probe and claim, so the commit
+  // must succeed.
+  const auto dispatch = [&](std::vector<OrderId> members, GroupPlan plan,
+                            int riders) {
+    DispatchOffer offer;
+    offer.members = std::move(members);
+    offer.plan = std::move(plan);
+    BindWorker(&offer, riders);
+    if (offer.worker == kInvalidWorker) return false;
+    WATTER_CHECK_OK(CommitOffer(offer, now));
+    return true;
+  };
   for (OrderId id : ids) {
     if (!pool_.Contains(id)) continue;  // Dispatched earlier this round.
     const Order* order = pool_.GetOrder(id);
@@ -392,6 +347,7 @@ void WatterPlatform::RunDecisionLoopSerial(
       std::vector<const Order*> members;
       members.reserve(group->members.size());
       bool resolved = true;
+      int riders = 0;
       for (OrderId member : group->members) {
         const Order* m = pool_.GetOrder(member);
         if (m == nullptr) {
@@ -399,6 +355,7 @@ void WatterPlatform::RunDecisionLoopSerial(
           break;
         }
         members.push_back(m);
+        riders += m->riders;
       }
       if (resolved) {
         bool go = DecideGroupDispatch(*group, members, now,
@@ -409,7 +366,7 @@ void WatterPlatform::RunDecisionLoopSerial(
         if (!go && group->plan.latest_departure < now + options_.check_period) {
           go = true;
         }
-        if (go) dispatched = TryDispatch(members, group->plan, now);
+        if (go) dispatched = dispatch(group->members, group->plan, riders);
       }
     }
 
@@ -435,7 +392,7 @@ void WatterPlatform::RunDecisionLoopSerial(
         auto solo = pool_.planner().PlanBest({fresh}, now,
                                              pool_.options().capacity);
         if (solo.ok()) {
-          dispatched = TryDispatch({fresh}, *solo, now);
+          dispatched = dispatch({id}, std::move(solo).value(), fresh->riders);
         }
         if (!dispatched) {
           Observe(order_copy, now, /*action=*/0, /*expired=*/false, 0.0);
@@ -488,12 +445,7 @@ DispatchOffer WatterPlatform::ProposeOffer(
     // Solo fallback as an offer, with the serial engine's eligibility: the
     // watching window elapsed — or feasibility is about to — without a
     // shared group, and a rejection is not yet due.
-    if (!options_.solo_fallback) return offer;
-    if (now > order->LatestDispatch()) return offer;  // Sweep will reject.
-    if (!(now > order->WaitDeadline() ||
-          now + options_.check_period > order->LatestDispatch())) {
-      return offer;
-    }
+    if (!options_.solo_fallback || !SoloEligible(*order, now)) return offer;
     auto solo = pool_.planner().PlanBest({order}, now,
                                          pool_.options().capacity);
     if (!solo.ok()) return offer;
@@ -503,30 +455,20 @@ DispatchOffer WatterPlatform::ProposeOffer(
     riders = order->riders;
   }
 
-  // Bind the closest capacity-feasible idle worker; no worker, no bid.
-  NodeId first_stop = offer.plan.route.stops.front().node;
-  WorkerId worker_id =
-      fleet_.FindClosestIdle(first_stop, riders, oracle_,
-                             options_.worker_candidates);
-  if (worker_id == kInvalidWorker) return offer;
-  double pickup_delay =
-      oracle_->Cost(fleet_.worker(worker_id).location, first_stop);
-  if (pickup_delay == kInfCost) return offer;
-  offer.worker = worker_id;
-  offer.pickup_delay = pickup_delay;
-  offer.cost = pickup_delay + offer.plan.total_cost;
+  BindWorker(&offer, riders);
   return offer;
 }
 
 Status WatterPlatform::CommitOffer(const DispatchOffer& offer, Time now) {
-  // ResolveOffers guaranteed the worker unclaimed and every member still
-  // pooled, and the fleet only changes through committed offers — except
-  // when a late-dropout fault takes the worker offline between resolution
-  // and commit. That is a recoverable conflict: the offer is abandoned and
-  // its members stay pooled for the sweep.
+  // Resolution (or the serial engine's fresh probe) guaranteed the worker
+  // unclaimed and every member still pooled, and the fleet only changes
+  // through committed offers — except when a late-dropout fault takes the
+  // worker offline between resolution and commit. That is a recoverable
+  // conflict: the offer is abandoned and its members stay pooled for the
+  // sweep.
   if (!fleet_.TryClaim(offer.worker)) {
     return Status::FailedPrecondition(
-        "batched commit: offered worker no longer claimable (worker " +
+        "commit: offered worker no longer claimable (worker " +
         std::to_string(offer.worker) + ")");
   }
   ActiveTrip trip;
@@ -536,7 +478,7 @@ Status WatterPlatform::CommitOffer(const DispatchOffer& offer, Time now) {
     // exclusivity; faults never remove pooled orders), not a recoverable
     // condition.
     WATTER_CHECK(member != nullptr,
-                 "batched commit: dispatched member left the pool");
+                 "commit: dispatched member left the pool");
     double response = now - member->release;
     // Clamp: float rounding in matrix oracles can yield -1e-5 "detours".
     double detour =
@@ -597,10 +539,9 @@ std::unordered_map<OrderId, double> WatterPlatform::PrecomputeThresholds(
 void WatterPlatform::RunDecisionLoopBatched(
     const std::vector<OrderId>& ids, const std::vector<OrderId>& propose_ids,
     Time now, const PoolContext& context) {
-  // Serial prologue (shared with the sharded variant). Attributed to the
-  // propose phase: thresholds are inputs to the offers. Computed over the
-  // budget-eligible anchors only — their groups' members (which may include
-  // shed orders) all get thresholds.
+  // Serial prologue. Attributed to the propose phase: thresholds are inputs
+  // to the offers. Computed over the budget-eligible anchors only — their
+  // groups' members (which may include shed orders) all get thresholds.
   std::unordered_map<OrderId, double> thresholds;
   {
     WATTER_TRACE_SPAN("round.thresholds");
@@ -608,14 +549,9 @@ void WatterPlatform::RunDecisionLoopBatched(
     thresholds = PrecomputeThresholds(propose_ids, now, context);
   }
 
-  if (num_shards_ > 1) {
-    RunDecisionLoopSharded(ids, propose_ids, now, thresholds);
-    return;
-  }
-
   // Parallel propose: one offer slot per eligible pooled order, each a pure
   // function of the frozen pool/fleet/threshold state (ordered-map pattern,
-  // see thread_pool.h).
+  // see thread_pool.h), then drop the non-bids.
   std::vector<DispatchOffer> offers;
   {
     WATTER_TRACE_SPAN("round.propose");
@@ -623,24 +559,35 @@ void WatterPlatform::RunDecisionLoopBatched(
     executor_.ParallelMap(propose_ids.size(), 4, &offers, [&](size_t i) {
       return ProposeOffer(propose_ids[i], now, thresholds);
     });
-  }
-
-  // Drop the non-bids, then resolve conflicts in the sorted-offers total
-  // order and commit the winners serially. The outcome sequence is a pure
-  // function of the offer set, hence of the frozen round state — never of
-  // the thread count.
-  std::vector<OfferOutcome> outcomes;
-  {
-    WATTER_TRACE_SPAN("round.resolve");
-    PhaseTimer timer(sampling_, &round_sample_.resolve_s);
     offers.erase(std::remove_if(offers.begin(), offers.end(),
                                 [](const DispatchOffer& offer) {
                                   return offer.worker == kInvalidWorker;
                                 }),
                  offers.end());
-    outcomes = ResolveOffers(&offers);
+  }
+
+  // Resolve conflicts in the sorted-offers total order: home shard =
+  // worker's region, member shards = pickup regions; one shard is the
+  // global scan. Both callbacks read only frozen round state. The outcomes
+  // are a pure function of the offer set, hence of the frozen round state —
+  // never of the thread or shard count.
+  ShardedResolution resolution;
+  {
+    WATTER_TRACE_SPAN("round.resolve");
+    PhaseTimer timer(sampling_, &round_sample_.resolve_s);
+    OfferShardMap shard_map;
+    shard_map.num_shards = num_shards_;
+    shard_map.worker_shard = [this](WorkerId worker) {
+      return ShardOfNode(fleet_.worker(worker).location);
+    };
+    shard_map.order_shard = [this](OrderId member) {
+      return ShardOfNode(pool_.GetOrder(member)->pickup);
+    };
+    resolution = ResolveOffersSharded(&offers, shard_map, &executor_);
   }
   dispatch_stats_.offers += static_cast<int64_t>(offers.size());
+  dispatch_stats_.border_offers += resolution.border_offers;
+  dispatch_stats_.border_affected += resolution.border_affected;
 
   // Late dropouts land on the resolve/commit seam: resolution has already
   // picked winners against the pre-fault fleet, so a winner whose worker
@@ -651,7 +598,7 @@ void WatterPlatform::RunDecisionLoopBatched(
     WATTER_TRACE_SPAN("round.commit");
     PhaseTimer timer(sampling_, &round_sample_.commit_s);
     for (size_t i = 0; i < offers.size(); ++i) {
-      switch (outcomes[i]) {
+      switch (resolution.outcomes[i]) {
         case OfferOutcome::kCommitted:
           if (CommitOffer(offers[i], now).ok()) {
             ++dispatch_stats_.committed;
@@ -693,269 +640,6 @@ void WatterPlatform::RunDecisionLoopBatched(
   }
 }
 
-void WatterPlatform::CommitOfferStaged(
-    const DispatchOffer& offer, Time now,
-    const std::shared_ptr<const RoundSnapshot>& snap) {
-  // State half, synchronous: finalize the staged claim and remove the
-  // members — the next round's frozen snapshots must see both. Member data
-  // is copied out first so the bookkeeping half owns everything it records.
-  std::vector<ServedMember> served;
-  served.reserve(offer.members.size());
-  ActiveTrip trip;
-  for (size_t i = 0; i < offer.members.size(); ++i) {
-    const Order* member = pool_.GetOrder(offer.members[i]);
-    WATTER_CHECK(member != nullptr,
-                 "sharded commit: dispatched member left the pool");
-    double response = now - member->release;
-    // Clamp: float rounding in matrix oracles can yield -1e-5 "detours".
-    double detour =
-        std::max(0.0, offer.plan.completion[i] - member->shortest_cost);
-    served.push_back({*member, response, detour});
-    if (track_trips_) {
-      trip.members.push_back({*member, response, detour,
-                              now + offer.pickup_delay +
-                                  offer.plan.completion[i]});
-    }
-  }
-  double travel = offer.pickup_delay + offer.plan.total_cost;
-  int group_size = static_cast<int>(offer.members.size());
-  // The claim was staged by the caller and faults only fire at serial
-  // points outside the commit stage, so finalization must succeed.
-  WATTER_CHECK_OK(fleet_.CommitClaim(offer.worker, now + travel,
-                                     offer.plan.route.stops.back().node));
-  if (track_trips_) {
-    trip.dispatch_time = now;
-    trip.travel = travel;
-    trip.group_size = group_size;
-    TrackTrip(offer.worker, std::move(trip));
-  }
-  for (OrderId member : offer.members) {
-    RemoveFromIndexes(*pool_.GetOrder(member));
-    WATTER_CHECK_OK(pool_.Remove(member));
-  }
-
-  // Bookkeeping half, deferred: runs FIFO on the pipeline's consumer, in
-  // the same per-member RecordServed-then-Observe sequence CommitOffer
-  // uses, so the metric accumulation order — hence every float sum — is
-  // bitwise identical to the unsharded path.
-  pipeline_->Enqueue([this, served = std::move(served), travel, group_size,
-                      now, snap] {
-    for (const ServedMember& m : served) {
-      metrics_.RecordServed(m.order, m.response, m.detour, group_size);
-      if (observer_) {
-        DecisionObservation obs;
-        obs.order = m.order.id;
-        obs.order_ref = &m.order;
-        obs.now = now;
-        obs.action = 1;
-        obs.expired = false;
-        obs.detour = m.detour;
-        obs.demand_pickup = &snap->demand_pickup;
-        obs.demand_dropoff = &snap->demand_dropoff;
-        obs.supply = &snap->supply;
-        observer_(obs);
-      }
-    }
-    metrics_.AddWorkerTravel(travel);
-  });
-}
-
-void WatterPlatform::RejectOrderDeferred(
-    const Order& order, Time now, bool cancelled,
-    const std::shared_ptr<const RoundSnapshot>& snap) {
-  pipeline_->Enqueue([this, order, now, cancelled, snap] {
-    // Same observe-then-record sequence as RejectOrder.
-    if (observer_) {
-      DecisionObservation obs;
-      obs.order = order.id;
-      obs.order_ref = &order;
-      obs.now = now;
-      obs.action = 0;
-      obs.expired = true;
-      obs.demand_pickup = &snap->demand_pickup;
-      obs.demand_dropoff = &snap->demand_dropoff;
-      obs.supply = &snap->supply;
-      observer_(obs);
-    }
-    if (cancelled) {
-      metrics_.RecordCancelled(order);
-    } else {
-      metrics_.RecordRejected(order);
-    }
-  });
-  RemoveFromIndexes(order);
-  WATTER_CHECK_OK(pool_.Remove(order.id));
-}
-
-void WatterPlatform::RunDecisionLoopSharded(
-    const std::vector<OrderId>& ids, const std::vector<OrderId>& propose_ids,
-    Time now, const std::unordered_map<OrderId, double>& thresholds) {
-  // Shard-bucketed propose: the same offer per order as the flat propose
-  // (ProposeOffer is pure over frozen state), but walked shard by shard so
-  // each shard's orders form one contiguous slice of the work list. The
-  // commit pass below re-imposes the global sorted-offers order, so the
-  // bucketed visit order never shows in the results.
-  std::vector<DispatchOffer> offers;
-  {
-    WATTER_TRACE_SPAN("round.propose");
-    PhaseTimer timer(sampling_, &round_sample_.propose_s);
-    std::vector<std::vector<OrderId>> buckets = pool_.SortedOrderIdsByRegion(
-        num_shards_,
-        [this](const Order& order) { return ShardOfNode(order.pickup); });
-    std::vector<OrderId> flat_ids;
-    flat_ids.reserve(propose_ids.size());
-    // Budget shedding restricts the bid set; with the budget off,
-    // propose_ids covers the whole pool and the filter never fires.
-    const bool shedding = propose_ids.size() != ids.size();
-    std::unordered_set<OrderId> eligible;
-    if (shedding) eligible.insert(propose_ids.begin(), propose_ids.end());
-    for (const std::vector<OrderId>& bucket : buckets) {
-      for (OrderId id : bucket) {
-        if (shedding && eligible.count(id) == 0) continue;
-        flat_ids.push_back(id);
-      }
-    }
-    executor_.ParallelMap(flat_ids.size(), 4, &offers, [&](size_t i) {
-      return ProposeOffer(flat_ids[i], now, thresholds);
-    });
-    offers.erase(std::remove_if(offers.begin(), offers.end(),
-                                [](const DispatchOffer& offer) {
-                                  return offer.worker == kInvalidWorker;
-                                }),
-                 offers.end());
-  }
-
-  // Sharded conflict resolution: home shard = worker's region, member
-  // shards = pickup regions. Both callbacks read only frozen round state
-  // (the fleet mutates after resolution, the pool only through commits).
-  ShardedResolution resolution;
-  {
-    WATTER_TRACE_SPAN("round.resolve");
-    PhaseTimer timer(sampling_, &round_sample_.resolve_s);
-    OfferShardMap shard_map;
-    shard_map.num_shards = num_shards_;
-    shard_map.worker_shard = [this](WorkerId worker) {
-      return ShardOfNode(fleet_.worker(worker).location);
-    };
-    shard_map.order_shard = [this](OrderId member) {
-      return ShardOfNode(pool_.GetOrder(member)->pickup);
-    };
-    resolution = ResolveOffersSharded(&offers, shard_map, &executor_);
-  }
-
-  dispatch_stats_.offers += static_cast<int64_t>(offers.size());
-  dispatch_stats_.border_offers += resolution.border_offers;
-  dispatch_stats_.border_affected += resolution.border_affected;
-  // Conflict outcomes are final here; committed is counted in the staging
-  // pass below, where a late-dropout fault can still abort a winner — so
-  // the committed total matches the unsharded engine under faults too.
-  for (OfferOutcome outcome : resolution.outcomes) {
-    switch (outcome) {
-      case OfferOutcome::kCommitted:
-        break;
-      case OfferOutcome::kWorkerConflict:
-        ++dispatch_stats_.worker_conflicts;
-        break;
-      case OfferOutcome::kOrderConflict:
-        ++dispatch_stats_.order_conflicts;
-        break;
-    }
-  }
-
-  // Late dropouts land on the resolve/commit seam (same point as the
-  // unsharded engine): a winner whose worker just went offline fails its
-  // staging claim below and is abandoned.
-  ApplyLateFaults(now);
-
-  // Deferred jobs outlive this round's live snapshot vectors, so observer
-  // rounds pin a frozen copy; without an observer no job reads them.
-  std::shared_ptr<const RoundSnapshot> snap;
-  if (observer_) {
-    auto frozen = std::make_shared<RoundSnapshot>();
-    frozen->demand_pickup = demand_pickup_counts_;
-    frozen->demand_dropoff = demand_dropoff_counts_;
-    frozen->supply = supply_counts_;
-    snap = std::move(frozen);
-  }
-
-  // Two-stage commit. Stage: claim every winner's worker in the sorted
-  // total order, tagged with its claim arena — the home shard for interior
-  // winners, the dedicated border arena for reconciled ones — so an
-  // abandoned staging can be rolled back per shard (Fleet::ReleaseArena).
-  // Resolution guaranteed the winners conflict-free against the pre-fault
-  // fleet; a claim that fails anyway lost its worker to a late dropout and
-  // the offer is abandoned (its members stay pooled for the sweep).
-  {
-    WATTER_TRACE_SPAN("round.commit");
-    PhaseTimer timer(sampling_, &round_sample_.commit_s);
-    const int border_arena = num_shards_;
-    std::vector<bool> staged(offers.size(), false);
-    for (size_t i = 0; i < offers.size(); ++i) {
-      if (resolution.outcomes[i] != OfferOutcome::kCommitted) continue;
-      int arena = resolution.scopes[i] == OfferScope::kInterior
-                      ? resolution.home_shards[i]
-                      : border_arena;
-      if (fleet_.TryClaim(offers[i].worker, arena)) {
-        staged[i] = true;
-      } else {
-        ++fault_stats_.aborted_commits;
-      }
-    }
-    // Apply: finalize the staged claims in the same sorted order, deferring
-    // each winner's bookkeeping onto the pipeline.
-    for (size_t i = 0; i < offers.size(); ++i) {
-      if (!staged[i]) continue;
-      ++dispatch_stats_.committed;
-      CommitOfferStaged(offers[i], now, snap);
-    }
-    // Every staged claim was finalized above; anything left is a staging
-    // leak. Roll it back (graceful degradation: the workers return to the
-    // idle set) rather than aborting the run, but make it loud.
-    if (fleet_.claimed_count() != 0) {
-      int leaked = 0;
-      for (int arena = 0; arena <= num_shards_; ++arena) {
-        leaked += fleet_.ReleaseArena(arena);
-      }
-      std::fprintf(stderr,
-                   "warning: sharded commit rolled back %d leaked claims\n",
-                   leaked);
-    }
-  }
-
-  // Serial post-sweep, same ascending-id order and hazard RNG sequence as
-  // the unsharded engine (the pool holds exactly the same survivors: the
-  // committed sets are bitwise equal); only the bookkeeping is deferred.
-  WATTER_TRACE_SPAN("round.sweep");
-  PhaseTimer sweep_timer(sampling_, &round_sample_.sweep_s);
-  for (OrderId id : ids) {
-    if (!pool_.Contains(id)) continue;  // Dispatched this round.
-    const Order order_copy = *pool_.GetOrder(id);
-    if (options_.cancellation_hazard > 0.0 &&
-        now > order_copy.WaitDeadline() &&
-        rng_.Bernoulli(1.0 - std::exp(-options_.cancellation_hazard *
-                                      options_.check_period))) {
-      RejectOrderDeferred(order_copy, now, /*cancelled=*/true, snap);
-      continue;
-    }
-    if (now > order_copy.LatestDispatch()) {
-      RejectOrderDeferred(order_copy, now, /*cancelled=*/false, snap);
-    } else if (observer_) {
-      pipeline_->Enqueue([this, order_copy, now, snap] {
-        DecisionObservation obs;
-        obs.order = order_copy.id;
-        obs.order_ref = &order_copy;
-        obs.now = now;
-        obs.action = 0;
-        obs.expired = false;
-        obs.demand_pickup = &snap->demand_pickup;
-        obs.demand_dropoff = &snap->demand_dropoff;
-        obs.supply = &snap->supply;
-        observer_(obs);
-      });
-    }
-  }
-}
-
 void WatterPlatform::ApplyFaults(Time now) {
   if (injector_ == nullptr) return;
   WATTER_TRACE_SPAN("round.faults");
@@ -982,12 +666,6 @@ void WatterPlatform::ApplyFaults(Time now) {
         if (brownout_depth_ == 0 && degraded_oracle_) {
           degraded_oracle_->SetFactor(1.0);
         }
-        break;
-      case FaultKind::kStall:
-        // The stall is always counted (the schedule is engine-invariant);
-        // only the sharded batched engine has a pipeline to actually stall.
-        ++fault_stats_.stalls;
-        if (pipeline_) pipeline_->InjectStall(fault_spec_.stall_ms / 1000.0);
         break;
       case FaultKind::kLateDropout:
         // Late dropouts live in their own queue (TakeLateDue); one showing
@@ -1031,11 +709,6 @@ void WatterPlatform::RecoverTrip(WorkerId id, Time now) {
                "dropout recovery: no tracked trip for a busy worker");
   ActiveTrip trip = std::move(it->second);
   active_trips_.erase(it);
-
-  // Bookkeeping barrier: deferred RecordServed jobs for this trip must land
-  // before the reversal subtracts them (sharded engine only; recovery runs
-  // at a serial point, so a mid-round drain is safe).
-  if (pipeline_) pipeline_->Drain();
 
   // The worker stops driving now: credit back the unfinished remainder of
   // the recorded trip travel.
@@ -1164,11 +837,9 @@ void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
   sample.now = now;
   sample.total_s = total_seconds;
 
-  // End-of-round state. depth() is a mutex peek at the consumer backlog —
-  // diagnostic only, so the inherent raciness is fine.
+  // End-of-round state (pipeline_depth stays 0: commits are synchronous).
   sample.pool_size = static_cast<int64_t>(pool_.size());
   sample.shareability_edges = pool_.graph().edge_count();
-  sample.pipeline_depth = pipeline_ ? pipeline_->depth() : 0;
 
   // Per-round deltas of the cumulative counters; counter_base_ reuses the
   // sample fields to hold the previous round's cumulative values.
@@ -1201,7 +872,7 @@ void WatterPlatform::FinishRoundSample(Time now, double total_seconds) {
   // current brownout state. All stay zero when faults/budget are off.
   sample.fault_events = delta(fault_stats_.dropouts +
                                   fault_stats_.late_dropouts +
-                                  fault_stats_.returns + fault_stats_.stalls,
+                                  fault_stats_.returns,
                               base.fault_events);
   sample.recovered = delta(fault_stats_.recovered_orders, base.recovered);
   sample.failed = delta(fault_stats_.failed_services, base.failed);
@@ -1271,9 +942,6 @@ MetricsReport WatterPlatform::Run() {
         next_check += options_.check_period;
       }
     }
-    // Pipeline barrier: all deferred bookkeeping must land before anything
-    // reads the metrics (or before the timer stops attributing its cost).
-    if (pipeline_) pipeline_->Drain();
     if (!orders.empty()) {
       metrics_.SetFleetInfo(fleet_.size(),
                             last_event - orders.front().release);
@@ -1311,10 +979,10 @@ MetricsReport WatterPlatform::Run() {
   // off). Deterministic except watchdog_trips (metrics.h).
   report.faults = fault_stats_;
 
-  // Export the observability artifacts last, after the pipeline drain and
-  // the pool's final fan-in — every traced thread has synchronized with
-  // this one, so the recorder is quiescent (trace.h). Failures only warn:
-  // diagnostics must never fail a run.
+  // Export the observability artifacts last, after the pool's final
+  // fan-in — every traced thread has synchronized with this one, so the
+  // recorder is quiescent (trace.h). Failures only warn: diagnostics must
+  // never fail a run.
   if (timeline_) {
     const bool csv = timeline_path_.size() >= 4 &&
                      timeline_path_.compare(timeline_path_.size() - 4, 4,

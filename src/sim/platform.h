@@ -31,7 +31,6 @@
 #include "src/geo/grid_index.h"
 #include "src/obs/timeline.h"
 #include "src/pool/order_pool.h"
-#include "src/sim/commit_pipeline.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/fleet.h"
 #include "src/strategy/decision.h"
@@ -47,12 +46,12 @@ enum class DispatchMode {
   /// orders see (lazy regrouping, worker consumption).
   kSerial,
   /// The batched engine (docs/DISPATCH.md): candidate offers are computed
-  /// in parallel against frozen pool/fleet state, then committed in one
-  /// serial pass over offers sorted by (cost, anchor, worker) with explicit
-  /// conflict resolution — the KIT sorted-offers scheme. Results are
-  /// bitwise identical across thread counts, but intentionally differ from
-  /// kSerial (different, globally-ranked commit order); the flag exists for
-  /// exactly that A/B comparison.
+  /// in parallel against frozen pool/fleet state, resolved in the
+  /// sorted-offers total order (cost, anchor, worker) — per region shard
+  /// when `num_shards > 1` — and committed in one serial pass. Results are
+  /// bitwise identical across thread and shard counts, but intentionally
+  /// differ from kSerial (different, globally-ranked commit order); the
+  /// flag exists for exactly that A/B comparison.
   kBatched,
 };
 
@@ -88,14 +87,14 @@ struct SimOptions {
   /// contention and are within noise otherwise. `kSerial` keeps the
   /// paper-faithful sequential loop (CLI `--dispatch=serial`).
   DispatchMode dispatch = DispatchMode::kBatched;
-  /// Geographic shards for the batched engine's commit pass (CLI
-  /// `--shards`). 0 = inherit the scenario's WorkloadOptions::num_shards;
-  /// 1 keeps the unsharded commit path. With N > 1 the feature grid is
-  /// partitioned into N rectangular regions (GridIndex::RegionOf), interior
-  /// offers resolve per shard in parallel with border components
-  /// reconciled serially (docs/DISPATCH.md), and commit bookkeeping is
-  /// pipelined against the next round's propose phase. Metrics and served
-  /// sets are bitwise identical for any shard count; ignored by kSerial.
+  /// Geographic shards for the batched engine's conflict resolution (CLI
+  /// `--shards`). 0 = inherit the scenario's WorkloadOptions::num_shards.
+  /// With N > 1 the feature grid is partitioned into N rectangular regions
+  /// (GridIndex::RegionOf); interior offers resolve per shard in parallel
+  /// and border components are reconciled serially (docs/DISPATCH.md).
+  /// Propose, commit and sweep are the same single pass for every N.
+  /// Metrics and served sets are bitwise identical for any shard count;
+  /// ignored by kSerial.
   int num_shards = 0;
   /// Chrome trace-event JSON output path. Empty = inherit the scenario's
   /// WorkloadOptions::trace_path (the common case; this override exists for
@@ -169,25 +168,12 @@ class WatterPlatform {
   /// The fault injector, or nullptr when the resolved spec is inert.
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
-  /// The commit pipeline (sharded batched engine only; else nullptr).
-  const CommitPipeline* commit_pipeline() const { return pipeline_.get(); }
-
   /// The per-round timeline, populated only when a timeline path was
   /// resolved (SimOptions or WorkloadOptions); nullptr otherwise. Valid for
   /// the platform's lifetime — tests read it after Run().
   const obs::TimelineSampler* timeline() const { return timeline_.get(); }
 
  private:
-  /// Frozen copies of one round's feature-grid snapshots. Deferred
-  /// bookkeeping jobs share one of these per round: their observer
-  /// callbacks may run while the platform's live snapshot vectors are
-  /// already being rebuilt for the next round.
-  struct RoundSnapshot {
-    std::vector<int> demand_pickup;
-    std::vector<int> demand_dropoff;
-    std::vector<int> supply;
-  };
-
   /// One rider group aboard a dispatched worker, kept (only while dropouts
   /// are scheduled) so a mid-route dropout can reverse the not-yet-delivered
   /// members' bookkeeping and re-pool them (docs/ROBUSTNESS.md).
@@ -214,24 +200,14 @@ class WatterPlatform {
   void RunDecisionLoopSerial(const std::vector<OrderId>& ids,
                              const std::vector<OrderId>& propose_ids, Time now,
                              const PoolContext& context);
-  /// The batched engine (DispatchMode::kBatched): parallel offer propose,
-  /// sorted-offers conflict resolution, serial commit, serial post-sweep.
-  /// Runs the serial threshold prologue, then hands off to the sharded
-  /// variant when `num_shards_ > 1`. Only `propose_ids` bid; the sweep
-  /// walks all of `ids`.
+  /// The batched engine (DispatchMode::kBatched), for any shard count:
+  /// parallel offer propose, ResolveOffersSharded conflict resolution, one
+  /// serial commit pass in sorted-offers order, one serial post-sweep. Only
+  /// `propose_ids` bid; the sweep walks all of `ids`.
   void RunDecisionLoopBatched(const std::vector<OrderId>& ids,
                               const std::vector<OrderId>& propose_ids,
                               Time now, const PoolContext& context);
-  /// The region-sharded, pipelined variant of the batched decision phase
-  /// (docs/DISPATCH.md): shard-bucketed propose, ResolveOffersSharded with
-  /// per-shard parallel scans + serial border reconciliation, arena-staged
-  /// two-stage commit, and bookkeeping deferred onto `pipeline_` so it
-  /// overlaps the next round's maintenance and propose phases.
-  void RunDecisionLoopSharded(
-      const std::vector<OrderId>& ids,
-      const std::vector<OrderId>& propose_ids, Time now,
-      const std::unordered_map<OrderId, double>& thresholds);
-  /// Serial prologue shared by both batched variants: thresholds for every
+  /// Serial prologue of the batched engine: thresholds for every
   /// order appearing in some cached best group, queried in ascending id
   /// order (providers are stateful and not thread-safe).
   std::unordered_map<OrderId, double> PrecomputeThresholds(
@@ -243,35 +219,29 @@ class WatterPlatform {
   DispatchOffer ProposeOffer(
       OrderId id, Time now,
       const std::unordered_map<OrderId, double>& thresholds);
-  /// Commits one resolved offer: claims its worker, records metrics, and
-  /// removes the members from the pool. FailedPrecondition when the worker
-  /// is no longer claimable (a late-dropout fault took it offline between
-  /// resolution and commit); the offer is then abandoned and its members
-  /// stay pooled for the sweep.
+  /// The worker probe both engines bid with: binds the closest
+  /// capacity-feasible idle worker for `riders` riders to the offer's first
+  /// stop (worker, pickup_delay, cost). Leaves `offer->worker` ==
+  /// kInvalidWorker — no bid — when no worker qualifies or its pickup leg is
+  /// unreachable. Pure read of the fleet and the oracle.
+  void BindWorker(DispatchOffer* offer, int riders) const;
+  /// The one commit path of both engines: claims the offer's worker, records
+  /// metrics and observations, and removes the members from the pool.
+  /// FailedPrecondition when the worker is no longer claimable (a
+  /// late-dropout fault took it offline between resolution and commit); the
+  /// offer is then abandoned and its members stay pooled for the sweep.
   Status CommitOffer(const DispatchOffer& offer, Time now);
-  /// Sharded-commit apply step for one winning offer whose worker was
-  /// already staged via TryClaim: enqueues the bookkeeping (metrics +
-  /// observer) on `pipeline_`, finalizes the claim, and removes the members
-  /// from the pool. Jobs own copies of everything they record.
-  void CommitOfferStaged(const DispatchOffer& offer, Time now,
-                         const std::shared_ptr<const RoundSnapshot>& snap);
-  /// RejectOrder with the bookkeeping half deferred onto `pipeline_`.
-  void RejectOrderDeferred(const Order& order, Time now, bool cancelled,
-                           const std::shared_ptr<const RoundSnapshot>& snap);
   /// Grid region of `node` under the `num_shards_` partition.
   int ShardOfNode(NodeId node) const;
-  /// Attempts to dispatch `members` on `plan`; true on success.
-  bool TryDispatch(const std::vector<const Order*>& members,
-                   const GroupPlan& plan, Time now);
   /// `cancelled` marks a rider-hazard cancellation (same penalties, broken
   /// out in the metrics as a subset of rejections).
   void RejectOrder(const Order& order, Time now, bool cancelled = false);
   void RemoveFromIndexes(const Order& order);
   /// Applies every fault event due at this round boundary (serial phase):
-  /// dropouts/returns, brownout window toggles, pipeline stalls.
+  /// dropouts/returns and brownout window toggles.
   void ApplyFaults(Time now);
   /// Applies due late-dropout events — between conflict resolution and
-  /// commit in the batched engines, after the decision loop in the serial
+  /// commit in the batched engine, after the decision loop in the serial
   /// engine.
   void ApplyLateFaults(Time now);
   /// Takes one worker offline and, when it was mid-route, recovers the
@@ -305,7 +275,7 @@ class WatterPlatform {
   Scenario* scenario_;
   ThresholdProvider* provider_;
   SimOptions options_;
-  // Resolved shard count (>= 1) for the batched commit pass.
+  // Resolved shard count (>= 1) for the batched conflict resolution.
   int num_shards_ = 1;
   // Fault-injection state (docs/ROBUSTNESS.md), declared before the pool:
   // oracle_ is the effective cost source every platform query (pool
@@ -321,10 +291,6 @@ class WatterPlatform {
   Fleet fleet_;
   MetricsCollector metrics_;
   Rng rng_;
-  // Deferred-bookkeeping consumer, live only when the sharded batched
-  // engine is active (batched && num_shards_ > 1). Declared after the
-  // metrics it writes; drained before anything reads them.
-  std::unique_ptr<CommitPipeline> pipeline_;
   // Batched-engine work counters, copied into MetricsReport::dispatch.
   DispatchStats dispatch_stats_;
   // Fault/degradation counters, copied into MetricsReport::faults.

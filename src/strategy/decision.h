@@ -121,7 +121,7 @@ struct ShardedResolution {
   std::vector<OfferOutcome> outcomes;
   std::vector<OfferScope> scopes;
   /// Home shard (worker shard) per sorted offer; border-scoped offers keep
-  /// their home shard here, the caller routes them to the border arena.
+  /// their home shard here too.
   std::vector<int> home_shards;
   int64_t interior_offers = 0;
   int64_t border_offers = 0;

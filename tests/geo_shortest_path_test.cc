@@ -1,14 +1,13 @@
 // Cross-validates all shortest-path backends against each other: plain
-// Dijkstra is the reference; bidirectional search, contraction hierarchies,
-// the APSP matrix and all oracle wrappers must agree exactly (up to float
-// rounding for the matrix).
+// Dijkstra is the reference; contraction hierarchies, the APSP matrix and
+// all oracle wrappers must agree exactly (up to float rounding for the
+// matrix).
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "src/common/rng.h"
 #include "src/geo/apsp.h"
-#include "src/geo/bidirectional_dijkstra.h"
 #include "src/geo/city_generator.h"
 #include "src/geo/contraction_hierarchy.h"
 #include "src/geo/dijkstra.h"
@@ -99,7 +98,6 @@ TEST_P(BackendAgreementTest, AllBackendsAgreeOnCity) {
   const Graph& g = city->graph;
 
   Dijkstra reference(&g);
-  BidirectionalDijkstra bidi(&g);
   auto ch = ContractionHierarchy::Build(g);
   ASSERT_TRUE(ch.ok());
   auto matrix = CostMatrix::Build(g);
@@ -111,7 +109,6 @@ TEST_P(BackendAgreementTest, AllBackendsAgreeOnCity) {
     NodeId t = city->RandomNode(&rng);
     reference.Run(s, t);
     double expected = reference.DistanceTo(t);
-    EXPECT_NEAR(bidi.Query(s, t), expected, 1e-9) << s << "->" << t;
     EXPECT_NEAR(ch->Query(s, t), expected, 1e-9) << s << "->" << t;
     EXPECT_NEAR(matrix->Cost(s, t), expected, 1e-3) << s << "->" << t;
   }

@@ -230,6 +230,29 @@ TEST(HistogramRegistryTest, DisabledRecordsNothingEnabledAggregates) {
   EXPECT_DOUBLE_EQ(snapshots[0].max, 0.75);
 }
 
+TEST(HistogramRegistryTest, QuantilesStayWithinTheObservedRange) {
+  // Round-phase durations of a few milliseconds all land in bin 0 of the
+  // 0..60 s latency shape; interpolating inside that bin used to report
+  // p50 near 0.47 s against a max of 1.6 ms.
+  HistogramRegistry& registry = HistogramRegistry::Global();
+  registry.Clear();
+  registry.Enable();
+  for (int i = 0; i < 100; ++i) {
+    RecordLatency("test.sub_bin_s", 0.001 + 0.000006 * i, /*hi_seconds=*/60.0);
+  }
+  auto snapshots = registry.Snapshots();
+  registry.Disable();
+  registry.Clear();
+  ASSERT_EQ(snapshots.size(), 1u);
+  const HistogramSnapshot& snap = snapshots[0];
+  EXPECT_DOUBLE_EQ(snap.min, 0.001);
+  EXPECT_LE(snap.min, snap.p50);
+  EXPECT_LE(snap.p50, snap.p90);
+  EXPECT_LE(snap.p90, snap.p99);
+  EXPECT_LE(snap.p99, snap.max);
+  EXPECT_LT(snap.max, 0.0016);
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace watter

@@ -6,7 +6,7 @@
 // identical metrics across thread counts and shard counts within each
 // engine, exactly like the faultless determinism contract. (2) Recovery
 // conserves orders: after any schedule of dropouts, late dropouts,
-// brownouts and stalls, served + rejected + failed_services equals the
+// and brownouts, served + rejected + failed_services equals the
 // number of generated orders, and no claim leaks out of a run. (3) An
 // inert spec is invisible: runs with "" and with a seed-only spec are
 // bitwise identical, which is the in-tree face of the faults-off
@@ -41,7 +41,7 @@ TEST(FaultInjectionTest, EmptySpecIsInert) {
 TEST(FaultInjectionTest, FullSpecRoundTripsThroughToString) {
   const std::string text =
       "dropouts=8;late_dropouts=2;downtime=600;grace=300;brownouts=3;"
-      "brownout_len=90;brownout_factor=2;stalls=4;stall_ms=25;qcap=16;seed=42";
+      "brownout_len=90;brownout_factor=2;seed=42";
   auto spec = ParseFaultSpec(text);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->dropouts, 8);
@@ -51,9 +51,6 @@ TEST(FaultInjectionTest, FullSpecRoundTripsThroughToString) {
   EXPECT_EQ(spec->brownouts, 3);
   EXPECT_EQ(spec->brownout_len, 90.0);
   EXPECT_EQ(spec->brownout_factor, 2.0);
-  EXPECT_EQ(spec->stalls, 4);
-  EXPECT_EQ(spec->stall_ms, 25.0);
-  EXPECT_EQ(spec->qcap, 16);
   EXPECT_EQ(spec->seed, 42u);
   EXPECT_TRUE(spec->any());
   auto reparsed = ParseFaultSpec(FaultSpecToString(*spec));
@@ -74,7 +71,9 @@ TEST(FaultInjectionTest, MalformedSpecsAreInvalidArgument) {
                           "dropouts=abc",       // Not a number.
                           "dropouts=-1",        // Out of domain.
                           "brownout_factor=0",  // Must be positive.
-                          "downtime=-5", "qcap=-2", "stall_ms=-1"}) {
+                          "downtime=-5",
+                          // Keys of fault kinds that no longer exist.
+                          "stalls=2", "stall_ms=5", "qcap=4"}) {
     auto spec = ParseFaultSpec(bad);
     EXPECT_FALSE(spec.ok()) << "accepted: " << bad;
     if (!spec.ok()) {
@@ -87,7 +86,7 @@ TEST(FaultInjectionTest, MalformedSpecsAreInvalidArgument) {
 // Schedule construction.
 
 TEST(FaultInjectionTest, ScheduleIsAPureFunctionOfSpecAndShape) {
-  auto spec = ParseFaultSpec("dropouts=6;late_dropouts=3;brownouts=2;stalls=2");
+  auto spec = ParseFaultSpec("dropouts=6;late_dropouts=3;brownouts=2");
   ASSERT_TRUE(spec.ok());
   FaultInjector a(*spec, /*num_workers=*/50, /*horizon=*/7200.0);
   FaultInjector b(*spec, /*num_workers=*/50, /*horizon=*/7200.0);
@@ -264,11 +263,10 @@ void ExpectIdentical(const RunOutcome& reference, const RunOutcome& candidate,
 }
 
 // The canonical chaotic schedule: enough dropouts to hit mid-route trips,
-// late dropouts to exercise the claim-failure paths, brownouts, stalls and
-// a bounded queue, all at once.
+// late dropouts to exercise the claim-failure paths, and brownouts, all at
+// once.
 constexpr char kChaosSpec[] =
-    "dropouts=10;late_dropouts=4;downtime=400;brownouts=3;brownout_len=200;"
-    "stalls=3;stall_ms=5;qcap=4";
+    "dropouts=10;late_dropouts=4;downtime=400;brownouts=3;brownout_len=200";
 
 class FaultChaosTest
     : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {

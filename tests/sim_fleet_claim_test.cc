@@ -1,11 +1,9 @@
 // Direct tests of the Fleet two-phase claim protocol (fleet.h): TryClaim /
-// CommitClaim / ReleaseClaim plus the arena-tagged bulk rollback the
-// region-sharded commit pass stages its winners through. The platform
-// suites exercise the happy path end to end; this file pins down the
-// rollback semantics — claim-then-lose, arena staging, double-release —
-// the FailedPrecondition statuses that replaced the old protocol-misuse
-// aborts (a fault can legitimately make a claim vanish), and the
-// offline/online lifecycle fault injection drives (docs/ROBUSTNESS.md).
+// CommitClaim / ReleaseClaim. The platform suites exercise the happy path
+// end to end; this file pins down the rollback semantics — claim-then-lose,
+// double-release — the FailedPrecondition statuses that replaced the old
+// protocol-misuse aborts (a fault can legitimately make a claim vanish), and
+// the offline/online lifecycle fault injection drives (docs/ROBUSTNESS.md).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -58,13 +56,12 @@ TEST(FleetClaimTest, ClaimExcludesFromIdleSetUntilReleased) {
 }
 
 TEST(FleetClaimTest, ClaimThenLoseReconciliationRollsBackCleanly) {
-  // The sharded commit staging pattern: a shard stages its winner, the
-  // cross-shard reconciliation awards the worker elsewhere, the stage is
-  // rolled back, and the reconciliation winner claims the same worker.
+  // A claim rolled back before commit leaves the worker claimable: a
+  // second claimant takes the same worker and finalizes it.
   ClaimFixture fx;
-  ASSERT_TRUE(fx.fleet().TryClaim(1, /*arena=*/0));
+  ASSERT_TRUE(fx.fleet().TryClaim(1));
   fx.fleet().ReleaseClaim(1);
-  ASSERT_TRUE(fx.fleet().TryClaim(1, /*arena=*/2));
+  ASSERT_TRUE(fx.fleet().TryClaim(1));
   fx.fleet().CommitClaim(1, 50.0, 3);
   EXPECT_EQ(fx.fleet().claimed_count(), 0);
   EXPECT_TRUE(fx.fleet().worker(1).busy);
@@ -76,28 +73,9 @@ TEST(FleetClaimTest, ClaimThenLoseReconciliationRollsBackCleanly) {
   EXPECT_TRUE(fx.fleet().TryClaim(1));
 }
 
-TEST(FleetClaimTest, ReleaseArenaRollsBackOnlyItsOwnClaims) {
-  ClaimFixture fx;
-  ASSERT_TRUE(fx.fleet().TryClaim(4, /*arena=*/1));
-  ASSERT_TRUE(fx.fleet().TryClaim(2, /*arena=*/1));
-  ASSERT_TRUE(fx.fleet().TryClaim(3, /*arena=*/2));
-  EXPECT_EQ(fx.fleet().claimed_count(), 3);
-  EXPECT_EQ(fx.fleet().idle_count(), 1);
-  // Arena 1 rolls back workers 2 and 4; arena 2's claim survives.
-  EXPECT_EQ(fx.fleet().ReleaseArena(1), 2);
-  EXPECT_EQ(fx.fleet().claimed_count(), 1);
-  EXPECT_EQ(fx.fleet().IdleWorkerIds(), (std::vector<WorkerId>{1, 2, 4}));
-  EXPECT_TRUE(fx.fleet().worker(3).busy);
-  // An empty arena is a no-op, including an already-drained one.
-  EXPECT_EQ(fx.fleet().ReleaseArena(1), 0);
-  EXPECT_EQ(fx.fleet().ReleaseArena(7), 0);
-  fx.fleet().CommitClaim(3, 10.0, 2);
-  EXPECT_EQ(fx.fleet().claimed_count(), 0);
-}
-
 TEST(FleetClaimTest, ReleasedClaimIsImmediatelyReclaimable) {
-  // The serial engine's infeasible-pickup rollback (TryDispatch): release
-  // must restore the worker at its current location, not the route target.
+  // Release must restore the worker at its current location, not the
+  // route target.
   ClaimFixture fx;
   ASSERT_TRUE(fx.fleet().TryClaim(3));
   fx.fleet().ReleaseClaim(3);
@@ -128,12 +106,12 @@ TEST(FleetClaimTest, CommitWithoutClaimReportsFailedPrecondition) {
   EXPECT_FALSE(fx.fleet().worker(2).busy);
 }
 
-TEST(FleetClaimTest, CommitAfterArenaRollbackReportsFailedPrecondition) {
-  // ReleaseArena must fully forget its claims: finalizing one afterwards is
+TEST(FleetClaimTest, CommitAfterReleaseReportsFailedPrecondition) {
+  // ReleaseClaim must fully forget the claim: finalizing it afterwards is
   // the commit-of-unclaimed protocol violation.
   ClaimFixture fx;
-  ASSERT_TRUE(fx.fleet().TryClaim(2, /*arena=*/3));
-  EXPECT_EQ(fx.fleet().ReleaseArena(3), 1);
+  ASSERT_TRUE(fx.fleet().TryClaim(2));
+  EXPECT_TRUE(fx.fleet().ReleaseClaim(2).ok());
   EXPECT_EQ(fx.fleet().CommitClaim(2, 10.0, 0).code(),
             StatusCode::kFailedPrecondition);
 }
@@ -160,7 +138,7 @@ TEST(FleetClaimTest, TakeOfflineClaimedWorkerDiscardsTheClaim) {
   // The late-dropout path: resolution staged a claim, the fault discards
   // it, and the holder's CommitClaim surfaces FailedPrecondition.
   ClaimFixture fx;
-  ASSERT_TRUE(fx.fleet().TryClaim(3, /*arena=*/1));
+  ASSERT_TRUE(fx.fleet().TryClaim(3));
   EXPECT_EQ(fx.fleet().TakeOffline(3), WorkerTake::kClaimed);
   EXPECT_EQ(fx.fleet().claimed_count(), 0);
   EXPECT_EQ(fx.fleet().CommitClaim(3, 10.0, 0).code(),

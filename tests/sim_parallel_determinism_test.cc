@@ -235,14 +235,13 @@ INSTANTIATE_TEST_SUITE_P(
                                      DispatchMode::kBatched)),
     CaseName);
 
-// Shard axis: the region-sharded, pipelined commit pass must be invisible
-// in the results. The unsharded 1-thread run is the reference; every
+// Shard axis: region-sharded conflict resolution must be invisible in the
+// results. The unsharded 1-thread run is the reference; every
 // (shards, threads) combination must match it bit for bit — metrics,
 // served/expired sets, and the deterministic dispatch counters — in both
 // engines (kSerial ignores the knob; asserting that guards against the
 // shard plumbing leaking into the serial path). The ResolveOffersSharded
-// equality proof (decision.h) is what this exercises end to end, plus the
-// pipelined bookkeeping's FIFO accumulation order.
+// equality proof (decision.h) is what this exercises end to end.
 class ShardedDeterminismTest
     : public testing::TestWithParam<std::tuple<uint64_t, DispatchMode>> {
  protected:

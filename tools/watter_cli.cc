@@ -27,17 +27,17 @@
 //   src/geo/bucket_ch.h) or the per-query CH oracle. The two are bitwise
 //   equivalent (tests/geo_oracle_equivalence_test.cc) — the flag only moves
 //   runtime, never a metric. Ignored by the matrix-oracle cdc dataset.
-//   --shards N [1] — region shards of the batched engine's commit pass
-//   (docs/DISPATCH.md): N > 1 partitions the feature grid into N regions,
-//   resolves interior offers per shard in parallel with a serial border
-//   reconciliation, and pipelines commit bookkeeping against the next
-//   round's propose. Metrics are identical for any N (the sharded pass is
-//   bitwise-equal to the global one); ignored by --dispatch serial.
+//   --shards N [1] — region shards of the batched engine's conflict
+//   resolution (docs/DISPATCH.md): N > 1 partitions the feature grid into N
+//   regions and resolves interior offers per shard in parallel with a
+//   serial border reconciliation. Metrics are identical for any N (the
+//   sharded pass is bitwise-equal to the global one); ignored by
+//   --dispatch serial.
 //
 // Robustness flags (docs/ROBUSTNESS.md):
 //   --faults SPEC — deterministic fault injection, e.g.
-//   "dropouts=5;brownouts=2;seed=7". Worker dropouts/returns, oracle
-//   brownouts, and pipeline stalls fire from a precomputed seeded schedule,
+//   "dropouts=5;brownouts=2;seed=7". Worker dropouts/returns and oracle
+//   brownouts fire from a precomputed seeded schedule,
 //   so a fixed spec is bitwise reproducible across threads and shards.
 //   Empty (the default) disables fault injection entirely.
 //   --budget N — per-round propose work budget in deterministic work units
@@ -51,9 +51,9 @@
 // bitwise identical whether they are set or not):
 //   --trace FILE — export a Chrome trace-event JSON of the run (load in
 //   Perfetto / chrome://tracing): phase spans for every check round, pool
-//   refresh internals, oracle batches, thread-pool and commit-pipeline jobs.
+//   refresh internals, oracle batches and thread-pool jobs.
 //   --timeline FILE — per-round timeline (pool size, shareability edges,
-//   offers/conflicts, pipeline depth, phase durations, counter deltas) as
+//   offers/conflicts, phase durations, counter deltas) as
 //   JSON, or CSV when FILE ends in ".csv".
 //   --metrics-json FILE — dump the full MetricsReport as one JSON object
 //   (bench_util field names for the overlapping fields, so it diffs against
@@ -106,7 +106,7 @@ struct CliArgs {
                "                  --threads T (0 = all hardware threads)\n"
                "                  --dispatch serial|batched (default batched)\n"
                "                  --geo per-query|bucket (default bucket)\n"
-               "                  --shards N (default 1 = unsharded commit)\n"
+               "                  --shards N (default 1 = unsharded resolve)\n"
                "  robustness:     --faults SPEC (docs/ROBUSTNESS.md grammar)\n"
                "                  --budget N (per-round propose work units)\n"
                "                  --watchdog-ms MS (wall-clock budget clamp)\n"
@@ -268,7 +268,7 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
   // (docs/ROBUSTNESS.md). Deterministic except the watchdog trips.
   const FaultStats& faults = report.faults;
   if (faults.dropouts + faults.late_dropouts + faults.returns +
-          faults.brownout_rounds + faults.stalls + faults.shed_orders +
+          faults.brownout_rounds + faults.shed_orders +
           faults.watchdog_trips >
       0) {
     Table fault_table({"fault counter", "value"});
@@ -280,7 +280,6 @@ void PrintReport(const std::string& name, const MetricsReport& report) {
     fault_table.AddRow({"worker returns", std::to_string(faults.returns)});
     fault_table.AddRow({"brownout rounds",
                         std::to_string(faults.brownout_rounds)});
-    fault_table.AddRow({"pipeline stalls", std::to_string(faults.stalls)});
     fault_table.AddRow({"orders recovered",
                         std::to_string(faults.recovered_orders)});
     fault_table.AddRow({"failed services",
